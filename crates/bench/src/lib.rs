@@ -16,7 +16,11 @@ use std::time::Instant;
 
 use serde::Value;
 use triosim::{Fidelity, Parallelism, Platform, SimBuilder, SimReport};
+use triosim_des::VirtualTime;
 use triosim_modelzoo::ModelId;
+use triosim_network::{
+    FlowId, FlowNetwork, LinkObservation, NetCommand, NetObservation, NetworkModel, NodeId,
+};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 /// One row of a validation figure: predicted vs ground truth.
@@ -297,12 +301,46 @@ pub fn field_u64(v: &Value, path: &[&str]) -> u64 {
 /// Whether a host-dependent performance gate should be *enforced* (hard
 /// assertion) rather than merely recorded: true when the host has at
 /// least `min_cores` cores. Bench binaries with wall-clock or scaling
-/// gates (`bench_sweep`, `bench_shard`, `bench_fidelity`) share this
-/// predicate and record it as the `gate_armed` summary field; callers
-/// AND in any binary-specific environment overrides (e.g.
-/// `TRIOSIM_SHARD_GATE=0`) on top.
+/// gates (`bench_sweep`, `bench_fidelity`) share this predicate and
+/// record it as the `gate_armed` summary field; callers AND in any
+/// binary-specific environment overrides on top.
 pub fn gate_armed(min_cores: usize) -> bool {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= min_cores
+}
+
+/// The platform's flow network behind a wrapper that does not claim
+/// iteration invariance, so steady-state replay never engages: the run
+/// simulates every iteration. The baseline for measuring the cost of
+/// features that turn replay off (checkpointing).
+pub fn serial_flow_network(platform: &Platform) -> Box<dyn NetworkModel> {
+    Box::new(SerialFlow(FlowNetwork::new(platform.topology().clone())))
+}
+
+#[derive(Debug)]
+struct SerialFlow(FlowNetwork);
+
+impl NetworkModel for SerialFlow {
+    fn send(
+        &mut self,
+        now: VirtualTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+    ) -> (FlowId, Vec<NetCommand>) {
+        self.0.send(now, src, dst, bytes)
+    }
+    fn deliver(&mut self, flow: FlowId, now: VirtualTime) -> Vec<NetCommand> {
+        self.0.deliver(flow, now)
+    }
+    fn in_flight(&self) -> usize {
+        self.0.in_flight()
+    }
+    fn observe(&self) -> NetObservation {
+        self.0.observe()
+    }
+    fn observe_links(&self) -> Vec<LinkObservation> {
+        self.0.observe_links()
+    }
 }
 
 /// Worker-thread count for sweep-backed binaries: `--threads <n>` when

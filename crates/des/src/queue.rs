@@ -96,10 +96,8 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue with the clock already advanced to `origin`.
     ///
-    /// Sharded execution uses this to replay a partition of a longer run
-    /// in its own queue: events before `origin` belong to other shards, so
-    /// scheduling anything earlier is rejected exactly as if the queue had
-    /// ticked its way there.
+    /// Scheduling anything earlier than `origin` is rejected exactly as
+    /// if the queue had ticked its way there.
     pub fn starting_at(origin: VirtualTime) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),

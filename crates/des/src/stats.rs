@@ -58,17 +58,41 @@ impl QueueStats {
     /// Folds another queue's counters into this one: totals add, the
     /// high-water mark takes the maximum.
     ///
-    /// This is how sharded runs aggregate per-shard queue statistics into
-    /// one report. When the shards partition a run whose serial queue
-    /// fully drains at every partition boundary (so each shard's queue
-    /// replays exactly the pending-depth profile the serial queue had in
-    /// that span), the merged counters are identical to the serial run's.
+    /// Steady-state replay folds the counters of synthesized iterations
+    /// in this way. A queue that fully drains at every iteration boundary
+    /// replays the same pending-depth profile in every repeated
+    /// iteration, so the merged counters equal those of simulating them.
     pub fn merge(&mut self, other: &QueueStats) {
         self.scheduled += other.scheduled;
         self.delivered += other.delivered;
         self.cancelled += other.cancelled;
         self.max_pending = self.max_pending.max(other.max_pending);
         self.compactions += other.compactions;
+    }
+
+    /// The activity between an `earlier` reading of the same queue and
+    /// this one: totals are differences, and the high-water mark is this
+    /// reading's (a running maximum cannot be split by span).
+    pub fn since(&self, earlier: &QueueStats) -> QueueStats {
+        QueueStats {
+            scheduled: self.scheduled - earlier.scheduled,
+            delivered: self.delivered - earlier.delivered,
+            cancelled: self.cancelled - earlier.cancelled,
+            max_pending: self.max_pending,
+            compactions: self.compactions - earlier.compactions,
+        }
+    }
+
+    /// These counters repeated `times` times: totals multiply, the
+    /// high-water mark stays.
+    pub fn scaled(&self, times: u64) -> QueueStats {
+        QueueStats {
+            scheduled: self.scheduled * times,
+            delivered: self.delivered * times,
+            cancelled: self.cancelled * times,
+            max_pending: self.max_pending,
+            compactions: self.compactions * times,
+        }
     }
 
     pub(crate) fn record_scheduled(&mut self, pending: usize) {
@@ -117,6 +141,35 @@ mod tests {
         assert_eq!(a.cancelled(), 2);
         assert_eq!(a.max_pending(), 9);
         assert_eq!(a.compactions(), 1);
+    }
+
+    #[test]
+    fn since_then_scaled_merge_extends_a_periodic_run() {
+        let before = QueueStats {
+            scheduled: 10,
+            delivered: 9,
+            cancelled: 1,
+            max_pending: 4,
+            compactions: 1,
+        };
+        let after = QueueStats {
+            scheduled: 16,
+            delivered: 14,
+            cancelled: 2,
+            max_pending: 6,
+            compactions: 2,
+        };
+        let step = after.since(&before);
+        assert_eq!(
+            (step.scheduled(), step.delivered(), step.cancelled()),
+            (6, 5, 1)
+        );
+        assert_eq!(step.max_pending(), 6, "the running maximum is kept");
+        let mut extended = after;
+        extended.merge(&step.scaled(3));
+        assert_eq!(extended.scheduled(), 16 + 18);
+        assert_eq!(extended.compactions(), 2 + 3);
+        assert_eq!(extended.max_pending(), 6);
     }
 
     #[test]

@@ -313,6 +313,16 @@ impl Mul<f64> for TimeSpan {
     }
 }
 
+/// Exact repetition in integer ticks: `span * n` is `n` back-to-back
+/// copies of `span`, with no rounding.
+impl Mul<u64> for TimeSpan {
+    type Output = TimeSpan;
+
+    fn mul(self, rhs: u64) -> TimeSpan {
+        TimeSpan(self.0.checked_mul(rhs).expect("time span overflow"))
+    }
+}
+
 impl Div<f64> for TimeSpan {
     type Output = TimeSpan;
 
@@ -334,6 +344,13 @@ impl Sum for TimeSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integer_scaling_repeats_exactly() {
+        let span = TimeSpan::from_femtos(123_456_789);
+        assert_eq!(span * 1000, TimeSpan::from_femtos(123_456_789_000));
+        assert_eq!(span * 1, span);
+    }
 
     #[test]
     fn seconds_round_trip() {

@@ -137,9 +137,9 @@ struct CachedRoute {
 
 /// Cumulative per-link activity counters.
 ///
-/// Both fields are integers (ticks for time) so that forked-model
-/// statistics can be merged back exactly: integer sums are associative,
-/// which is what keeps sharded runs byte-identical to serial ones.
+/// Both fields are integers (ticks for time) so that statistics can be
+/// merged exactly: integer sums are associative, which is what keeps
+/// steady-state replayed runs byte-identical to fully simulated ones.
 /// Payload bytes are credited when a flow *delivers* (one full payload
 /// per route link), busy time accrues per progress window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1368,7 +1368,7 @@ mod tests {
         run(&mut serial, VirtualTime::ZERO);
         run(&mut serial, VirtualTime::from_seconds(1.0));
 
-        // Sharded shape: the second batch runs on a pristine fork at a
+        // Forked shape: the second batch runs on a pristine fork at a
         // shifted origin, then its stats are absorbed.
         let mut base = one_link_net(1e9, 0.0);
         assert!(base.iteration_invariant());
@@ -1384,6 +1384,34 @@ mod tests {
             base.stats_snapshot().expect("snapshot"),
             serial.stats_snapshot().expect("snapshot")
         );
+    }
+
+    #[test]
+    fn per_iteration_increments_repeat_and_scale_exactly() {
+        // Replay's shape: the same traffic one period later adds the same
+        // increments, so scaling one increment stands in for simulating.
+        let run = |net: &mut dyn NetworkModel, offset: VirtualTime| {
+            let (f, cmds) = net.send(offset, NodeId(0), NodeId(1), 1_000_000);
+            net.deliver(f, sched_time(&cmds, f));
+        };
+        let period = TimeSpan::from_millis(5.0);
+        let at = |k: u64| VirtualTime::ZERO + period * k;
+        let mut serial = one_link_net(1e9, 0.0);
+        let mut marks = vec![serial.stats_snapshot().expect("snapshot")];
+        for k in 0..5 {
+            run(&mut serial, at(k));
+            marks.push(serial.stats_snapshot().expect("snapshot"));
+        }
+        let step = marks[2].since(&marks[1]);
+        assert_eq!(step, marks[1].since(&marks[0]));
+        assert_eq!(step.observation.flows_completed, 1);
+
+        let mut replayed = one_link_net(1e9, 0.0);
+        run(&mut replayed, at(0));
+        run(&mut replayed, at(1));
+        replayed.absorb_stats(&step.scaled(3));
+        assert_eq!(replayed.stats_snapshot(), serial.stats_snapshot());
+        assert_eq!(replayed.observe(), serial.observe());
     }
 
     #[test]

@@ -163,12 +163,13 @@ pub struct LinkObservation {
 
 /// An exact, mergeable snapshot of a model's cumulative statistics.
 ///
-/// Sharded execution runs iteration blocks on *forked* copies of a
-/// network model and must fold their statistics back into the original
-/// without floating-point drift. Every field is therefore an integer
-/// (tick-typed for durations): integer sums are associative, so the
-/// merged totals are byte-identical to the serial run's regardless of
-/// merge order.
+/// Steady-state replay reads one at every iteration boundary, takes the
+/// per-iteration increment with [`since`](Self::since), and folds the
+/// repeated iterations back in with [`scaled`](Self::scaled) and
+/// [`NetworkModel::absorb_stats`] without floating-point drift. Every
+/// field is therefore an integer (tick-typed for durations): integer
+/// sums are associative, so the folded totals are byte-identical to
+/// simulating every iteration.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetStatsSnapshot {
     /// Whole-network cumulative counters at snapshot time.
@@ -176,6 +177,64 @@ pub struct NetStatsSnapshot {
     /// Per-link `(payload bytes crossed, busy time)` in the model's
     /// stable link order. Empty for models without link accounting.
     pub links: Vec<(u64, TimeSpan)>,
+}
+
+impl NetStatsSnapshot {
+    /// The counters accumulated between an `earlier` snapshot of the
+    /// same model and this one. `in_flight` is this snapshot's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` is not an earlier snapshot of the same model
+    /// (a counter would go negative, or the link lists differ in length).
+    pub fn since(&self, earlier: &NetStatsSnapshot) -> NetStatsSnapshot {
+        assert_eq!(
+            self.links.len(),
+            earlier.links.len(),
+            "snapshots must come from the same topology"
+        );
+        let (a, b) = (&self.observation, &earlier.observation);
+        NetStatsSnapshot {
+            observation: NetObservation {
+                in_flight: a.in_flight,
+                bytes_delivered: a.bytes_delivered - b.bytes_delivered,
+                flows_completed: a.flows_completed - b.flows_completed,
+                reallocations: a.reallocations - b.reallocations,
+                reschedules: a.reschedules - b.reschedules,
+                link_faults: a.link_faults - b.link_faults,
+                reroutes: a.reroutes - b.reroutes,
+                added_hops: a.added_hops - b.added_hops,
+            },
+            links: self
+                .links
+                .iter()
+                .zip(&earlier.links)
+                .map(|(&(bytes, busy), &(b0, busy0))| (bytes - b0, busy - busy0))
+                .collect(),
+        }
+    }
+
+    /// These counters repeated `times` times (every counter multiplied).
+    pub fn scaled(&self, times: u64) -> NetStatsSnapshot {
+        let o = &self.observation;
+        NetStatsSnapshot {
+            observation: NetObservation {
+                in_flight: o.in_flight,
+                bytes_delivered: o.bytes_delivered * times,
+                flows_completed: o.flows_completed * times,
+                reallocations: o.reallocations * times,
+                reschedules: o.reschedules * times,
+                link_faults: o.link_faults * times,
+                reroutes: o.reroutes * times,
+                added_hops: o.added_hops * times,
+            },
+            links: self
+                .links
+                .iter()
+                .map(|&(bytes, busy)| (bytes * times, busy * times))
+                .collect(),
+        }
+    }
 }
 
 /// One link's complete checkpointable state: the live topology
@@ -371,28 +430,29 @@ pub trait NetworkModel: fmt::Debug {
     /// True when the model is *iteration-invariant*: running the same
     /// traffic pattern shifted by a constant virtual-time offset produces
     /// identically shifted commands and identical statistics deltas.
-    /// Required for iteration-axis sharding (each shard replays later
-    /// iterations against a fresh fork). The default is conservative.
+    /// Required for steady-state replay, which synthesizes the rest of a
+    /// run once one iteration repeats the previous one exactly. The
+    /// default is conservative.
     fn iteration_invariant(&self) -> bool {
         false
     }
 
     /// A fresh copy of this model in its pristine (pre-traffic) state:
     /// same topology and configuration, zeroed statistics, no in-flight
-    /// flows. `None` (the default) means the model cannot be forked and
-    /// sharded execution must fall back to the serial path.
+    /// flows. `None` (the default) means the model cannot be forked.
     fn fork_pristine(&self) -> Option<Box<dyn NetworkModel + Send>> {
         None
     }
 
     /// This model's cumulative statistics as an exactly mergeable
     /// snapshot, or `None` (the default) when the model does not support
-    /// snapshot/absorb merging.
+    /// snapshot/absorb merging (steady-state replay needs it).
     fn stats_snapshot(&self) -> Option<NetStatsSnapshot> {
         None
     }
 
-    /// Folds a fork's statistics snapshot into this model's cumulative
+    /// Folds a statistics snapshot (a fork's, or the scaled increments of
+    /// replayed iterations) into this model's cumulative
     /// counters (integer sums — exact in any order). The default is a
     /// no-op for models without snapshot support.
     fn absorb_stats(&mut self, snapshot: &NetStatsSnapshot) {

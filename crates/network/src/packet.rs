@@ -737,8 +737,8 @@ impl NetworkModel for PacketNetwork {
         // The packet dynamics are time-shift invariant in principle, but
         // the model keeps open-period projections and per-period
         // commitment state that fork/absorb merging does not cover, so
-        // it conservatively opts out: a `--shards` request falls back to
-        // the serial oracle with a warning naming this reason.
+        // it conservatively opts out: steady-state replay never engages,
+        // and every iteration is simulated.
         false
     }
 

@@ -192,6 +192,65 @@ pub struct AttributionState {
     last_path: Vec<PathSegmentState>,
 }
 
+impl AttributionState {
+    /// What was recorded between an `earlier` snapshot of the same
+    /// accumulator and this one: every total is a difference, and the
+    /// path is this snapshot's most recent one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` covers a different task or GPU count, or is
+    /// not earlier (a total would go negative).
+    pub fn since(&self, earlier: &AttributionState) -> AttributionState {
+        assert_eq!(
+            (self.on_path.len(), self.per_gpu.len()),
+            (earlier.on_path.len(), earlier.per_gpu.len()),
+            "snapshots must come from the same accumulator"
+        );
+        AttributionState {
+            on_path: self
+                .on_path
+                .iter()
+                .zip(&earlier.on_path)
+                .map(|(a, b)| (a.0 - b.0, a.1 - b.1))
+                .collect(),
+            per_gpu: self
+                .per_gpu
+                .iter()
+                .zip(&earlier.per_gpu)
+                .map(|(a, b)| GpuBucketState {
+                    compute: a.compute - b.compute,
+                    overlapped: a.overlapped - b.overlapped,
+                    exposed: a.exposed - b.exposed,
+                    idle: a.idle - b.idle,
+                    total: a.total - b.total,
+                })
+                .collect(),
+            path_total: self.path_total - earlier.path_total,
+            path_compute: self.path_compute - earlier.path_compute,
+            path_comm: self.path_comm - earlier.path_comm,
+            iterations: self.iterations - earlier.iterations,
+            last_path: self.last_path.clone(),
+        }
+    }
+
+    /// This state with its most recent path moved `by` later in time.
+    pub fn shifted(&self, by: TimeSpan) -> AttributionState {
+        AttributionState {
+            last_path: self
+                .last_path
+                .iter()
+                .map(|seg| PathSegmentState {
+                    task: seg.task,
+                    start: seg.start + by,
+                    finish: seg.finish + by,
+                })
+                .collect(),
+            ..self.clone()
+        }
+    }
+}
+
 /// Accumulates per-iteration attribution state across a run.
 #[derive(Debug)]
 pub struct AttributionAccumulator {
@@ -257,39 +316,49 @@ impl AttributionAccumulator {
         self.bucket_gpu_time(it);
     }
 
-    /// Folds another accumulator's totals into this one *exactly*.
+    /// Folds `times` repetitions of a per-iteration increment (from
+    /// [`AttributionState::since`]) into this accumulator *exactly*.
     ///
     /// Every running total here is an integer (ticks or counts), so the
-    /// sums are associative: absorbing per-shard accumulators in
-    /// canonical iteration-block order yields byte-for-byte the same
-    /// state a serial run would have reached. `other` must share this
-    /// accumulator's task structure (same labels/classes/deps) and its
-    /// iterations must chronologically follow this one's — its
-    /// `last_path` becomes the merged "most recent" path when it
-    /// recorded any iterations.
-    pub fn absorb(&mut self, other: &AttributionAccumulator) {
+    /// sums are associative: absorbing the increment of one iteration
+    /// `times` times yields byte-for-byte the state that recording `times`
+    /// further identical iterations would have reached. The repeated
+    /// iterations follow this one's chronologically; the last of them
+    /// becomes the "most recent" path, which is `delta`'s path moved
+    /// later by `shift`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` covers a different task or GPU count.
+    pub fn absorb(&mut self, delta: &AttributionState, times: u64, shift: TimeSpan) {
         assert_eq!(
-            self.labels, other.labels,
-            "absorbed accumulator must cover the same task graph"
+            (self.on_path.len(), self.per_gpu.len()),
+            (delta.on_path.len(), delta.per_gpu.len()),
+            "absorbed increment must cover the same task graph"
         );
-        for (mine, theirs) in self.on_path.iter_mut().zip(&other.on_path) {
-            mine.0 += theirs.0;
-            mine.1 += theirs.1;
+        for (mine, theirs) in self.on_path.iter_mut().zip(&delta.on_path) {
+            mine.0 += theirs.0 * times;
+            mine.1 += theirs.1 * times;
         }
-        for (mine, theirs) in self.per_gpu.iter_mut().zip(&other.per_gpu) {
-            mine.compute += theirs.compute;
-            mine.overlapped += theirs.overlapped;
-            mine.exposed += theirs.exposed;
-            mine.idle += theirs.idle;
-            mine.total += theirs.total;
+        for (mine, theirs) in self.per_gpu.iter_mut().zip(&delta.per_gpu) {
+            mine.compute += theirs.compute * times;
+            mine.overlapped += theirs.overlapped * times;
+            mine.exposed += theirs.exposed * times;
+            mine.idle += theirs.idle * times;
+            mine.total += theirs.total * times;
         }
-        self.path_total += other.path_total;
-        self.path_compute += other.path_compute;
-        self.path_comm += other.path_comm;
-        self.iterations += other.iterations;
-        if other.iterations > 0 {
+        self.path_total += delta.path_total * times;
+        self.path_compute += delta.path_compute * times;
+        self.path_comm += delta.path_comm * times;
+        self.iterations += delta.iterations * times;
+        if times > 0 && delta.iterations > 0 {
             self.last_path.clear();
-            self.last_path.extend_from_slice(&other.last_path);
+            self.last_path.extend(
+                delta
+                    .last_path
+                    .iter()
+                    .map(|seg| (seg.task, seg.start + shift, seg.finish + shift)),
+            );
         }
     }
 
@@ -872,34 +941,63 @@ mod tests {
 
     #[test]
     fn absorb_matches_recording_the_iterations_serially() {
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
+        // Iteration k of a periodic run: the chain shifted by 4k seconds.
+        let iteration = |k: f64| {
+            let at = |s: f64| Some(t(s + 4.0 * k));
+            (
+                [at(0.0), at(2.0), at(3.0)],
+                [at(2.0), at(3.0), at(4.0)],
+                IterationObservation {
+                    begin: t(4.0 * k),
+                    end: t(4.0 * k + 4.0),
+                    start: &[],
+                    finish: &[],
+                    gpu_pred: &[None, None, None],
+                },
+            )
+        };
+        let record = |acc: &mut AttributionAccumulator, k: f64| {
+            let (start, finish, shape) = iteration(k);
+            acc.record_iteration(&IterationObservation {
+                start: &start,
+                finish: &finish,
+                ..shape
+            });
+        };
 
-        // Serial oracle: both iterations into one accumulator.
+        // Serial oracle: five iterations into one accumulator.
         let mut serial = chain_accumulator();
-        serial.record_iteration(&chain_observation(&start, &finish, &pred));
-        serial.record_iteration(&chain_observation(&start, &finish, &pred));
+        for k in 0..5 {
+            record(&mut serial, f64::from(k));
+        }
 
-        // Sharded shape: one iteration each, then absorb in order.
-        let mut first = chain_accumulator();
-        first.record_iteration(&chain_observation(&start, &finish, &pred));
-        let mut second = chain_accumulator();
-        second.record_iteration(&chain_observation(&start, &finish, &pred));
-        first.absorb(&second);
+        // Replay's shape: two recorded iterations, then the second one's
+        // increment absorbed three times, its path moved three periods.
+        let mut replayed = chain_accumulator();
+        record(&mut replayed, 0.0);
+        let mark = replayed.snapshot();
+        record(&mut replayed, 1.0);
+        let delta = replayed.snapshot().since(&mark);
+        assert_eq!(
+            delta,
+            mark.since(&chain_accumulator().snapshot())
+                .shifted(TimeSpan::from_seconds(4.0))
+        );
+        replayed.absorb(&delta, 3, TimeSpan::from_seconds(12.0));
 
-        assert_eq!(first.iterations(), serial.iterations());
-        assert_eq!(first.last_path(), serial.last_path());
+        assert_eq!(replayed.iterations(), serial.iterations());
+        assert_eq!(replayed.last_path(), serial.last_path());
+        assert_eq!(replayed.snapshot(), serial.snapshot());
         let stringify = |acc: &AttributionAccumulator| {
             serde_json::to_string(&acc.finish(Vec::new(), None).to_value())
                 .expect("attribution JSON is finite")
         };
-        assert_eq!(stringify(&first), stringify(&serial));
+        assert_eq!(stringify(&replayed), stringify(&serial));
 
-        // Absorbing an empty accumulator changes nothing.
-        let snapshot = stringify(&first);
-        first.absorb(&chain_accumulator());
-        assert_eq!(stringify(&first), snapshot);
+        // Absorbing zero repetitions changes nothing.
+        let snapshot = stringify(&replayed);
+        replayed.absorb(&delta, 0, TimeSpan::ZERO);
+        assert_eq!(stringify(&replayed), snapshot);
     }
 
     #[test]

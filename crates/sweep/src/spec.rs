@@ -96,11 +96,12 @@ pub struct Scenario {
     /// canonical serialization (and thus from journal compatibility
     /// hashes and canonical sweep output).
     pub wall_timeout_ms: Option<u64>,
-    /// Worker threads for iteration-axis sharding inside this scenario
-    /// (`SimBuilder::shards`). Sharding is gated on byte-identity, so
-    /// like `wall_timeout_ms` this is a host-tuning knob **excluded**
-    /// from the canonical serialization: the same sweep run at any
-    /// shard count produces the same journal hashes and output bytes.
+    /// Retired iteration-axis shard count, kept as a documented no-op.
+    /// Steady-state replay replaced sharding, so the value changes
+    /// nothing; it still parses (and must be at least 1) so that existing
+    /// specs and journals keep loading. Like `wall_timeout_ms` it is
+    /// **excluded** from the canonical serialization: journal hashes and
+    /// output bytes never depend on it.
     pub shards: u64,
 }
 
@@ -621,7 +622,7 @@ mod tests {
         let json = serde_json::to_string(&s[0].to_value()).unwrap();
         assert!(
             !json.contains("shards"),
-            "shard count is a host-tuning knob and must stay out of canonical output: {json}"
+            "the retired shard knob must stay out of canonical output: {json}"
         );
         let err = SweepSpec::from_json(r#"{ "scenarios": [ { "shards": 0 } ] }"#)
             .unwrap()

@@ -17,9 +17,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use triosim::{
-    estimate_memory, Fidelity, Parallelism, Platform, SelfProfile, SelfProfiler, SimBuilder,
-};
+use triosim::{estimate_memory, Fidelity, Parallelism, Platform, SelfProfiler, SimBuilder};
 use triosim_des::{TimeSpan, VirtualTime};
 use triosim_modelzoo::ModelId;
 use triosim_obs::{
@@ -50,9 +48,6 @@ COMMANDS:
         --parallelism <dp|ddp|tp|pp[:chunks]|hp:groups[:chunks]>  (default ddp)
         --batch <n>             global batch (default: weak scaling)
         --iterations <n>        back-to-back training iterations (default 1)
-        --shards <n>            worker threads for iteration-axis sharding
-                                (default 1; output is byte-identical at any
-                                shard count — sharding only changes speed)
         --fidelity <tier>       triosim (default), reference, or packet
                                 (packet-level network: switch queues,
                                 ECN/DCTCP, drops and retransmits)
@@ -87,7 +82,7 @@ COMMANDS:
                                 compute/overlap/exposed-comm/idle buckets,
                                 top critical ops, stragglers, hot links
         --trace <file>          plus the same --platform/--parallelism/
-                                --batch/--iterations/--shards/--fidelity/
+                                --batch/--iterations/--fidelity/
                                 --reference/--faults/--fault-seed flags
                                 as `simulate`
         --top <k>               critical ops / links to list (default 8)
@@ -209,7 +204,6 @@ fn validate_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), S
             "parallelism",
             "batch",
             "iterations",
-            "shards",
             "fidelity",
             "reference",
             "timeline",
@@ -233,7 +227,6 @@ fn validate_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), S
             "parallelism",
             "batch",
             "iterations",
-            "shards",
             "fidelity",
             "reference",
             "faults",
@@ -417,13 +410,6 @@ fn apply_sim_flags<'a>(
         }
         builder = builder.iterations(iters);
     }
-    if let Some(shards) = opts.get("shards") {
-        let shards: usize = parse(shards)?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        builder = builder.shards(shards);
-    }
     match (opts.get("fidelity"), opts.contains_key("reference")) {
         (Some(_), true) => {
             return Err("--fidelity and --reference are mutually exclusive".into());
@@ -447,17 +433,18 @@ fn apply_sim_flags<'a>(
 }
 
 /// Runs the configured builder, routing through the profiled session
-/// path when `--profile` was given. Profiling never changes the report.
+/// path when `--profile` was given (the profiler comes back for further
+/// spans). Profiling never changes the report.
 fn run_builder(
     builder: SimBuilder<'_>,
     opts: &HashMap<String, String>,
-) -> Result<(triosim::SimReport, Option<SelfProfile>), String> {
+) -> Result<(triosim::SimReport, Option<SelfProfiler>), String> {
     if opts.contains_key("profile") {
         let mut prof = SelfProfiler::new();
         let report = builder
             .try_run_profiled(&mut prof)
             .map_err(|e| e.to_string())?;
-        Ok((report, Some(prof.snapshot())))
+        Ok((report, Some(prof)))
     } else {
         Ok((builder.try_run().map_err(|e| e.to_string())?, None))
     }
@@ -517,10 +504,13 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = opts.get("restore") {
         builder = builder.restore(path);
     }
-    let (report, profile) = run_builder(builder, opts)?;
+    let (report, mut profile) = run_builder(builder, opts)?;
 
     if let Some(out) = opts.get("report") {
-        let mut line = report.to_canonical_string();
+        let mut line = match profile.as_mut() {
+            Some(p) => p.time("canonical_serialize", || report.to_canonical_string()),
+            None => report.to_canonical_string(),
+        };
         line.push('\n');
         std::fs::write(out, line).map_err(|e| format!("{out}: {e}"))?;
     }
@@ -574,6 +564,15 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
         net.reschedules,
         100.0 * report.rate_change_ratio()
     );
+    let iterations = report.bottleneck().iterations;
+    match report.replay() {
+        Some(r) => println!(
+            "replay        : simulated {} of {iterations} iterations (period {:.3} ms)",
+            r.simulated,
+            r.period.as_seconds() * 1e3
+        ),
+        None => println!("replay        : simulated {iterations} of {iterations} iterations"),
+    }
     if let Some(fs) = report.fault_stats() {
         println!(
             "faults        : {} injected ({} degrade, {} fail, {} repair), {} reroutes (+{} hops), lost compute {:.3} ms",
@@ -633,7 +632,7 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(p) = profile {
         println!("self-profile (wall clock, diagnostic only):");
-        print!("{}", p.render());
+        print!("{}", p.snapshot().render());
     }
     Ok(())
 }
@@ -740,7 +739,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(p) = profile {
         println!("self-profile (wall clock, diagnostic only):");
-        print!("{}", p.render());
+        print!("{}", p.snapshot().render());
     }
     Ok(())
 }

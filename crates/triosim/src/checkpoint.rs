@@ -4,7 +4,7 @@
 //! iteration boundary* — the instant between two training iterations
 //! when the event queue is drained, no flow is in flight, and any
 //! pending monitor-tick or fault-arming event has been cancelled (the
-//! same boundaries the sharded executor proved are clean cut points).
+//! same boundaries at which steady-state replay compares iterations).
 //! At such a boundary the entire simulation reduces to accumulated
 //! counters and records: virtual clock, queue statistics, per-GPU busy
 //! time, communication intervals, attribution buckets, network link
@@ -39,8 +39,8 @@
 //! `spec_hash` is an FNV-1a fingerprint of everything that determines
 //! the engine's trajectory — task graph content, network model
 //! configuration, fault plan (post-seed), and deterministic budget axes
-//! — but deliberately **excludes** the iteration count, shard count,
-//! and wall-clock timeout: the state at boundary `K` is independent of
+//! — but deliberately **excludes** the iteration count and the
+//! wall-clock timeout: the state at boundary `K` is independent of
 //! how many further iterations the run intends, so a snapshot taken by
 //! a short run restores into a longer one (and vice versa).
 //!
@@ -248,8 +248,8 @@ fn fnv_u64(hash: u64, value: u64) -> u64 {
 /// Fingerprints everything that determines the engine's trajectory:
 /// task-graph content, network configuration, fault plan (after seed
 /// resolution), and the budget's deterministic axes. Excludes iteration
-/// count, shard count, and wall-clock timeout — engine state at a
-/// boundary is independent of all three.
+/// count and wall-clock timeout — engine state at a boundary is
+/// independent of both.
 pub(crate) fn spec_hash(
     graph: &TaskGraph,
     network: &dyn NetworkModel,

@@ -8,14 +8,15 @@
 //! backward propagation.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
-use triosim_des::{EventId, EventQueue, RunBudget, Ticker, TimeSpan, VirtualTime};
+use triosim_des::{EventId, EventQueue, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime};
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
-use triosim_network::{FlowId, LinkFault, NetCommand, NetworkModel, NodeId};
+use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
-    AttrValue, AttributionAccumulator, BottleneckReport, DepTable, HotLink, IterationObservation,
-    ProgressMonitor, Recorder, SelfProfiler, TaskClass,
+    AttrValue, AttributionAccumulator, AttributionState, BottleneckReport, DepTable, HotLink,
+    IterationObservation, ProgressMonitor, Recorder, SelfProfiler, TaskClass,
 };
 
 use crate::checkpoint::{
@@ -23,8 +24,8 @@ use crate::checkpoint::{
 };
 use crate::error::SimError;
 use crate::report::{
-    merge_intervals, timeline_fnv, union_length, FaultStats, SimReport, TimelineRecord,
-    TimelineTrack, FNV_OFFSET,
+    merge_intervals, timeline_fnv, union_length, FaultStats, ShiftedFold, SimReport,
+    TimelineRecord, TimelineStore, TimelineTrack, FNV_OFFSET,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -357,100 +358,6 @@ pub(crate) fn execute_restored(
     ex.run(iterations - completed)
 }
 
-/// Builds a [`BottleneckReport`] from an attribution accumulator and the
-/// network's link observations — shared between the serial epilogue and
-/// the sharded merge (which reconstructs the identical report from
-/// absorbed per-block state).
-pub(crate) fn bottleneck_report(
-    network: &dyn NetworkModel,
-    attr: &AttributionAccumulator,
-    total: TimeSpan,
-    lost_compute: Option<&[f64]>,
-) -> BottleneckReport {
-    let total_s = total.as_seconds();
-    let links = network
-        .observe_links()
-        .into_iter()
-        .map(|l| HotLink {
-            label: l.label,
-            busy_s: l.busy_s,
-            bytes: l.bytes,
-            utilization: if total_s > 0.0 {
-                (l.busy_s / total_s).clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    attr.finish(links, lost_compute)
-}
-
-/// Everything one sharded iteration block produces, in exactly the shape
-/// the merge needs: integer-tick running totals (summable without
-/// drift), raw interval lists (concatenated then canonically sorted),
-/// and per-event virtual times for deterministic budget replay.
-pub(crate) struct BlockOutcome {
-    /// End time of each completed iteration, in order.
-    pub iter_ends: Vec<VirtualTime>,
-    /// Per-GPU cumulative busy time (integer ticks).
-    pub gpu_busy: Vec<TimeSpan>,
-    /// Raw `(start, end)` transfer intervals.
-    pub comm_intervals: Vec<(VirtualTime, VirtualTime)>,
-    /// Timeline records of the block's iterations.
-    pub timeline: Vec<TimelineRecord>,
-    /// Payload bytes transferred.
-    pub bytes_transferred: u64,
-    /// Event-queue counters.
-    pub queue_stats: triosim_des::QueueStats,
-    /// Attribution state (absorbed into the probe's accumulator).
-    pub attr: AttributionAccumulator,
-    /// Virtual time of every real event, when tracking was requested.
-    pub event_times: Vec<VirtualTime>,
-    /// Real events delivered (equals `event_times.len()` when tracked).
-    pub budget_events: u64,
-    /// Set when the block stopped early (its live wall-clock guard).
-    pub error: Option<SimError>,
-}
-
-/// Runs iterations `iter_offset..iter_offset + iterations` of `graph` as
-/// one sharded block: the clock starts at `origin`, no observability or
-/// faults are attached (the sharded path is gated on both being absent),
-/// and `budget` is the block's *live* guard (callers pass
-/// [`RunBudget::wall_only`]; deterministic axes are replayed at merge
-/// time from `event_times`, which is recorded when `track_events` is
-/// set).
-pub(crate) fn execute_block(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    origin: VirtualTime,
-    iter_offset: usize,
-    iterations: usize,
-    budget: RunBudget,
-    track_events: bool,
-) -> BlockOutcome {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_origin(origin)
-        .with_iter_offset(iter_offset)
-        .with_budget(budget);
-    if track_events {
-        ex = ex.with_event_tracking();
-    }
-    let error = ex.run_iterations(iterations).err();
-    BlockOutcome {
-        iter_ends: ex.iter_ends,
-        gpu_busy: ex.gpus.iter().map(|g| g.busy_time).collect(),
-        comm_intervals: ex.comm_intervals,
-        timeline: ex.timeline,
-        bytes_transferred: ex.bytes_transferred,
-        queue_stats: *ex.queue.stats(),
-        attr: ex.attr,
-        event_times: ex.event_times,
-        budget_events: ex.budget_events,
-        error,
-    }
-}
-
 /// Maps a topology node to a GPU index under the repo-wide platform
 /// convention (`Platform::gpu_node(i) == NodeId(1 + i)`, `NodeId(0)` is
 /// the host, nodes past `1 + gpus` are NICs/spines).
@@ -461,9 +368,77 @@ fn node_gpu(node: NodeId, gpus: usize) -> Option<usize> {
 struct GpuStream {
     ready: VecDeque<TaskId>,
     busy: bool,
-    /// Cumulative busy time in integer ticks: exact, so per-block totals
-    /// from sharded runs sum to byte-identical per-GPU compute figures.
+    /// Cumulative busy time in integer ticks: exact, so the increments
+    /// steady-state replay adds sum to byte-identical per-GPU figures.
     busy_time: TimeSpan,
+}
+
+/// Everything a report accumulates that an iteration adds to, as
+/// integers: cumulative at a boundary, or one iteration's increments.
+#[derive(Debug, Clone, PartialEq)]
+struct Counters {
+    gpu_busy: Vec<TimeSpan>,
+    bytes: u64,
+    queue: QueueStats,
+    dispatches: [u64; 4],
+    net: NetStatsSnapshot,
+    attr: AttributionState,
+}
+
+impl Counters {
+    fn since(&self, earlier: &Counters) -> Counters {
+        Counters {
+            gpu_busy: self
+                .gpu_busy
+                .iter()
+                .zip(&earlier.gpu_busy)
+                .map(|(&a, &b)| a - b)
+                .collect(),
+            bytes: self.bytes - earlier.bytes,
+            queue: self.queue.since(&earlier.queue),
+            dispatches: std::array::from_fn(|i| self.dispatches[i] - earlier.dispatches[i]),
+            net: self.net.since(&earlier.net),
+            attr: self.attr.since(&earlier.attr),
+        }
+    }
+}
+
+/// The run's state at one quiescent iteration boundary.
+struct Boundary {
+    at: VirtualTime,
+    /// Lengths of `timeline` and `comm_intervals` at the boundary.
+    records: usize,
+    comm: usize,
+    counters: Counters,
+}
+
+/// One completed iteration, as steady-state replay compares it.
+struct IterationStep {
+    begin: VirtualTime,
+    /// Its records in `timeline`, in canonical order.
+    records: Range<usize>,
+    /// Union length of its transfer intervals.
+    comm: TimeSpan,
+    counters: Counters,
+}
+
+/// Steady-state replay's memory between boundaries (DESIGN.md §12).
+struct ReplayProbe {
+    last: Boundary,
+    /// The iteration that ended at `last`.
+    step: Option<IterationStep>,
+}
+
+/// What steady-state replay synthesized, for the report.
+struct Replayed {
+    repeats: usize,
+    period: TimeSpan,
+    /// Index in `timeline` of the repeated iteration's first record.
+    template: usize,
+    /// Union length of the synthesized iterations' transfers.
+    comm: TimeSpan,
+    /// Event-queue counters of the synthesized iterations.
+    queue: QueueStats,
 }
 
 /// Live state of one fault-injected run. Present only when the session
@@ -515,16 +490,12 @@ struct Executor<'a> {
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
     compute_start: Vec<Option<VirtualTime>>,
     timeline: Vec<TimelineRecord>,
-    /// True for checkpoint-aware runs (snapshotting enabled, or resumed
-    /// from a snapshot): the timeline digest below is maintained
-    /// incrementally and handed to the report, so the hash work is done
-    /// exactly once no matter how many snapshots are written.
-    tl_active: bool,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
     /// are *not* in `timeline`), plus the index of the first
-    /// not-yet-digested record in `timeline`. Advanced at each snapshot
-    /// and finalized over the tail when the report is built.
+    /// not-yet-digested record in `timeline`. Advanced at every iteration
+    /// boundary, so each record is hashed exactly once and the report
+    /// receives the finished digest.
     tl_digest: (u64, u64),
     tl_mark: usize,
     completed: usize,
@@ -556,18 +527,19 @@ struct Executor<'a> {
     budget_events: u64,
     /// Iteration currently executing (jitter coordinate).
     current_iter: usize,
-    // ------- sharded-execution support (inert on ordinary runs) -------
-    /// Global index of this run's first iteration; a sharded block of
-    /// iterations `k..k+m` runs with `iter_offset = k` so per-iteration
-    /// coordinates (jitter, logs) match the serial run's.
+    /// Global index of this run's first iteration: non-zero only when
+    /// resumed from a snapshot, so per-iteration coordinates (jitter,
+    /// logs) match the uninterrupted run's.
     iter_offset: usize,
+    /// True when resumed from a snapshot.
+    resumed: bool,
     /// Virtual time at which each completed iteration ended.
     iter_ends: Vec<VirtualTime>,
-    /// When set, the virtual time of every real (compute/flow) event is
-    /// recorded so a sharded merge can *replay* deterministic budget
-    /// enforcement in canonical order.
-    track_events: bool,
-    event_times: Vec<VirtualTime>,
+    // ------- steady-state replay (`None` where it cannot engage) -------
+    replay: Option<ReplayProbe>,
+    replayed: Option<Replayed>,
+    /// Wall-clock seconds spent synthesizing replayed iterations.
+    replay_wall_s: f64,
     prev_link_busy: Vec<f64>,
     prev_sample_at: VirtualTime,
     collective_of_first: HashMap<TaskId, usize>,
@@ -648,7 +620,6 @@ impl<'a> Executor<'a> {
             comm_intervals: Vec::new(),
             compute_start: vec![None; n],
             timeline: Vec::new(),
-            tl_active: false,
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
             completed: 0,
@@ -666,9 +637,11 @@ impl<'a> Executor<'a> {
             budget_events: 0,
             current_iter: 0,
             iter_offset: 0,
+            resumed: false,
             iter_ends: Vec::new(),
-            track_events: false,
-            event_times: Vec::new(),
+            replay: None,
+            replayed: None,
+            replay_wall_s: 0.0,
             prev_link_busy: Vec::new(),
             prev_sample_at: VirtualTime::ZERO,
             collective_of_first: HashMap::new(),
@@ -729,34 +702,9 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Starts the clock (and the sampling origin) at `origin` instead of
-    /// zero: a sharded iteration block replays iterations `k..` exactly
-    /// where the serial run would have placed them.
-    fn with_origin(mut self, origin: VirtualTime) -> Self {
-        self.queue = EventQueue::starting_at(origin);
-        self.prev_sample_at = origin;
-        self.iter_begin = origin;
-        self
-    }
-
-    /// Sets the global index of this run's first iteration (sharded
-    /// blocks only; coordinates per-iteration state like jitter).
-    fn with_iter_offset(mut self, offset: usize) -> Self {
-        self.iter_offset = offset;
-        self
-    }
-
-    /// Records the virtual time of every real event for post-hoc
-    /// deterministic budget replay (sharded blocks only).
-    fn with_event_tracking(mut self) -> Self {
-        self.track_events = true;
-        self
-    }
-
     /// Enables periodic boundary snapshots to `ck.path`.
     fn with_checkpoint(mut self, ck: CheckpointConfig) -> Self {
         self.ckpt = Some(ck);
-        self.tl_active = true;
         self
     }
 
@@ -796,6 +744,7 @@ impl<'a> Executor<'a> {
         self.prev_sample_at = st.now;
         self.iter_begin = st.now;
         self.iter_offset = completed;
+        self.resumed = true;
         for (gpu, busy) in self.gpus.iter_mut().zip(&st.gpu_busy) {
             gpu.busy_time = *busy;
         }
@@ -813,7 +762,6 @@ impl<'a> Executor<'a> {
         // report's `timeline_hash` continue the interrupted fold. The
         // record list itself restarts empty, so a restored run's
         // timeline *export* covers only post-restore iterations.
-        self.tl_active = true;
         self.tl_digest = (st.timeline_count, st.timeline_fnv);
         self.tl_mark = 0;
         self.bytes_transferred = st.bytes_transferred;
@@ -890,7 +838,6 @@ impl<'a> Executor<'a> {
         // and the run's own memory — proportional to the iteration
         // count instead of the event count.
         self.comm_intervals = merge_intervals(std::mem::take(&mut self.comm_intervals));
-        self.fold_timeline_digest();
         let ck = self.ckpt.as_ref().expect("checkpointing is configured");
         let net = self.network.checkpoint_state().ok_or_else(|| {
             SimError::Checkpoint(CheckpointError::Unsupported(
@@ -946,19 +893,17 @@ impl<'a> Executor<'a> {
         checkpoint::write_snapshot(&ck.path, &snap).map_err(SimError::Checkpoint)
     }
 
-    /// Folds the timeline records accumulated since the last fold into
-    /// the running digest. Each segment is sorted on its own: segments
-    /// are whole runs of iterations, iterations occupy disjoint, ordered
-    /// spans of virtual time, so segment-by-segment folding equals the
-    /// whole-run sorted fold — and each record is hashed exactly once,
-    /// whether the digest advances at snapshots, at the final report, or
-    /// both.
+    /// Folds the timeline records accumulated since the last fold (one
+    /// iteration's) into the running digest. Each segment is sorted on
+    /// its own: iterations occupy disjoint, ordered spans of virtual
+    /// time, so segment-by-segment folding equals the whole-run sorted
+    /// fold, and each record is hashed exactly once.
     fn fold_timeline_digest(&mut self) {
         // Sorting the segment *in place* keeps the fold's memory access
-        // contiguous, and leaves the whole timeline pre-sorted for the
-        // report (segments occupy disjoint, ordered spans, so sorted
-        // segments concatenate into the sorted whole; the stable sort
-        // keeps push order among equal keys either way).
+        // contiguous, and leaves the whole timeline sorted for the report
+        // (segments occupy disjoint, ordered spans, so sorted segments
+        // concatenate into the sorted whole; the stable sort keeps push
+        // order among equal keys either way).
         let fresh = &mut self.timeline[self.tl_mark..];
         fresh.sort_by_key(|r| (r.start, r.end));
         self.tl_digest = (
@@ -995,6 +940,7 @@ impl<'a> Executor<'a> {
                 self.current_iter
             );
             self.iter_ends.push(self.queue.now());
+            self.fold_timeline_digest();
             // Fold the completed iteration into the bottleneck
             // attribution (pure virtual-time state, always on).
             self.attr.record_iteration(&IterationObservation {
@@ -1025,11 +971,171 @@ impl<'a> Executor<'a> {
             if snapshot_due {
                 self.write_checkpoint()?;
             }
+            if self.replay.is_some() && self.replay_boundary(iterations - iter - 1)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The cumulative counters replay compares and extends, or `None`
+    /// when the network cannot snapshot its statistics.
+    fn counters(&self) -> Option<Counters> {
+        Some(Counters {
+            gpu_busy: self.gpus.iter().map(|g| g.busy_time).collect(),
+            bytes: self.bytes_transferred,
+            queue: *self.queue.stats(),
+            dispatches: self.dispatches,
+            net: self.network.stats_snapshot()?,
+            attr: self.attr.snapshot(),
+        })
+    }
+
+    /// Arms steady-state replay where it is exact by construction: an
+    /// iteration-invariant network with exact statistics snapshots, no
+    /// fault plan, no enabled recorder or progress monitor, no
+    /// checkpoint or restore, and at least three iterations (two to
+    /// compare, one to synthesize). Everything else keeps the plain
+    /// loop and pays nothing.
+    fn arm_replay(&mut self, iterations: usize) {
+        let eligible = iterations >= 3
+            && self.faults.is_none()
+            && !self.ticking
+            && self.ckpt.is_none()
+            && !self.resumed
+            && self.network.iteration_invariant();
+        if let Some(counters) = eligible.then(|| self.counters()).flatten() {
+            self.replay = Some(ReplayProbe {
+                last: Boundary {
+                    at: self.queue.now(),
+                    records: self.timeline.len(),
+                    comm: self.comm_intervals.len(),
+                    counters,
+                },
+                step: None,
+            });
+        }
+    }
+
+    /// Steady-state replay's boundary hook (DESIGN.md §12). Compares the
+    /// iteration that just ended with the one before it, moved one period
+    /// later. On an exact match, and when the run's budget provably
+    /// cannot trip, it synthesizes the `remaining` iterations and returns
+    /// true; otherwise the run keeps simulating and the next boundary
+    /// compares again.
+    fn replay_boundary(&mut self, remaining: usize) -> Result<bool, SimError> {
+        let Some(mut probe) = self.replay.take() else {
+            return Ok(false);
+        };
+        let here = Boundary {
+            at: self.queue.now(),
+            records: self.timeline.len(),
+            comm: self.comm_intervals.len(),
+            counters: self
+                .counters()
+                .expect("replay is armed on snapshotting networks"),
+        };
+        let step = IterationStep {
+            begin: probe.last.at,
+            records: probe.last.records..here.records,
+            comm: union_length(self.comm_intervals[probe.last.comm..].to_vec()),
+            counters: here.counters.since(&probe.last.counters),
+        };
+        let prev = probe.step.replace(step);
+        probe.last = here;
+        let step = probe.step.as_ref().expect("just stored");
+        let period = probe.last.at - step.begin;
+        let repeats = prev.is_some_and(|prev| {
+            remaining > 0 && prev.begin + period == step.begin && self.repeats(&prev, step, period)
+        });
+        if !repeats {
+            self.replay = Some(probe);
+            return Ok(false);
+        }
+        // Deterministic budget axes are monotone: if the whole run's
+        // final event count and end time pass, no event would trip. If
+        // not, simulate on so the trip happens live, with its exact kind
+        // and limit.
+        if let Some(budget) = &self.budget {
+            let events = self.budget_events + remaining as u64 * step.counters.queue.delivered();
+            let end = probe.last.at + period * remaining as u64;
+            if budget.deterministic_only().check(events, end).is_some() {
+                return Ok(false);
+            }
+        }
+        self.synthesize(step, remaining, period)?;
+        Ok(true)
+    }
+
+    /// True when `step` is `prev` moved `period` later: the same records
+    /// (label, track, layer, and start/end exactly `period` later, in
+    /// canonical order) and the same integer increments.
+    fn repeats(&self, prev: &IterationStep, step: &IterationStep, period: TimeSpan) -> bool {
+        let (a, b) = (
+            &self.timeline[prev.records.clone()],
+            &self.timeline[step.records.clone()],
+        );
+        let (p, c) = (&prev.counters, &step.counters);
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.start + period == y.start
+                    && x.end + period == y.end
+                    && x.track == y.track
+                    && x.layer == y.layer
+                    && x.label == y.label
+            })
+            && prev.comm == step.comm
+            && (&p.gpu_busy, p.bytes, p.queue, p.dispatches, &p.net)
+                == (&c.gpu_busy, c.bytes, c.queue, c.dispatches, &c.net)
+            && p.attr.shifted(period) == c.attr
+    }
+
+    /// Synthesizes `repeats` further copies of `step`, each one `period`
+    /// later than the one before: their time-shifted records fold
+    /// straight into the digest without being materialized, and every
+    /// integer increment is added `repeats` times. The wall-clock
+    /// deadline is still checked once per synthesized iteration.
+    fn synthesize(
+        &mut self,
+        step: &IterationStep,
+        repeats: usize,
+        period: TimeSpan,
+    ) -> Result<(), SimError> {
+        let t0 = self.profiling.then(Instant::now);
+        let template = ShiftedFold::new(&self.timeline[step.records.clone()]);
+        let (count, mut fnv) = self.tl_digest;
+        for j in 1..=repeats {
+            if let Some((kind, limit)) = self.budget.as_ref().and_then(RunBudget::wall_exceeded) {
+                return Err(SimError::BudgetExceeded { kind, limit });
+            }
+            fnv = template.fold(fnv, period * j as u64);
+        }
+        self.tl_digest = (count + (template.len() * repeats) as u64, fnv);
+        let (c, n) = (&step.counters, repeats as u64);
+        for (gpu, &busy) in self.gpus.iter_mut().zip(&c.gpu_busy) {
+            gpu.busy_time += busy * n;
+        }
+        self.bytes_transferred += c.bytes * n;
+        for (total, &d) in self.dispatches.iter_mut().zip(&c.dispatches) {
+            *total += d * n;
+        }
+        self.network.absorb_stats(&c.net.scaled(n));
+        self.attr.absorb(&c.attr, n, period * n);
+        self.replayed = Some(Replayed {
+            repeats,
+            period,
+            template: step.records.start,
+            comm: step.comm * n,
+            queue: c.queue.scaled(n),
+        });
+        if let Some(t0) = t0 {
+            self.replay_wall_s += t0.elapsed().as_secs_f64();
         }
         Ok(())
     }
 
     fn run(mut self, iterations: usize) -> Result<SimReport, SimError> {
+        self.arm_replay(iterations);
         let engine_t = self.profiling.then(Instant::now);
         if let Err(e) = self.run_iterations(iterations) {
             // Close observability sinks so partial traces flush, then
@@ -1043,22 +1149,27 @@ impl<'a> Executor<'a> {
         }
         self.flush_selfprof(engine_t, iterations as u64);
 
-        let total = self.queue.now() - VirtualTime::ZERO;
+        let report_t = self.profiling.then(Instant::now);
+        let replayed = self.replayed.take();
+        let synthesized = replayed
+            .as_ref()
+            .map_or(TimeSpan::ZERO, |r| r.period * r.repeats as u64);
+        let total = self.queue.now() - VirtualTime::ZERO + synthesized;
         let bottleneck = self.build_bottleneck(total);
         self.finish_observability(total, Some(&bottleneck));
         let per_gpu_compute = self.gpus.iter().map(|g| g.busy_time).collect();
-        // Checkpoint-aware runs finalize the incremental digest over the
-        // undigested tail and hand it to the report, so the report never
-        // re-hashes records a snapshot already folded.
-        let digest = if self.tl_active {
-            self.fold_timeline_digest();
-            Some(self.tl_digest)
-        } else {
-            None
+        let mut queue = *self.queue.stats();
+        let mut comm_busy = union_length(self.comm_intervals);
+        let records = self.timeline;
+        let (template, period, repeats) = match &replayed {
+            Some(r) => {
+                queue.merge(&r.queue);
+                comm_busy += r.comm;
+                (r.template, r.period, r.repeats)
+            }
+            None => (records.len(), TimeSpan::ZERO, 0),
         };
-        let comm_busy = union_length(self.comm_intervals);
-        let mut timeline = self.timeline;
-        timeline.sort_by_key(|r| (r.start, r.end));
+        let timeline = TimelineStore::new(records, template, period, repeats, self.tl_digest);
         let mut report = SimReport::new(
             total,
             per_gpu_compute,
@@ -1067,14 +1178,11 @@ impl<'a> Executor<'a> {
             // Restored runs execute only the remaining iterations but
             // report the whole run: count from the global offset.
             self.graph.len() * (self.iter_offset + iterations),
-            *self.queue.stats(),
+            queue,
             self.network.observe(),
             timeline,
         );
         report.set_bottleneck(bottleneck);
-        if let Some((count, fnv)) = digest {
-            report.set_timeline_digest(count, fnv);
-        }
         if let Some(fr) = &self.faults {
             report.set_fault_stats(FaultStats {
                 faults_injected: fr.injected,
@@ -1090,6 +1198,9 @@ impl<'a> Executor<'a> {
         if let Some(ps) = self.network.observe_packets() {
             report.set_packet_stats(ps);
         }
+        if let (Some(t0), Some(p)) = (report_t, self.selfprof.as_deref_mut()) {
+            p.add_path(&["report_build"], t0.elapsed().as_secs_f64(), 1);
+        }
         Ok(report)
     }
 
@@ -1097,7 +1208,23 @@ impl<'a> Executor<'a> {
     /// [`BottleneckReport`], ranking links by busy time.
     fn build_bottleneck(&self, total: TimeSpan) -> BottleneckReport {
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
-        bottleneck_report(self.network, &self.attr, total, lost)
+        let total_s = total.as_seconds();
+        let links = self
+            .network
+            .observe_links()
+            .into_iter()
+            .map(|l| HotLink {
+                label: l.label,
+                busy_s: l.busy_s,
+                bytes: l.bytes,
+                utilization: if total_s > 0.0 {
+                    (l.busy_s / total_s).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        self.attr.finish(links, lost)
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1108,9 +1235,14 @@ impl<'a> Executor<'a> {
         };
         let engine_s = t0.elapsed().as_secs_f64();
         let (net_s, net_calls) = (self.net_wall_s, self.net_wall_calls);
+        let replayed = self.replayed.as_ref().map(|r| r.repeats as u64);
+        let replay_s = self.replay_wall_s;
         if let Some(p) = self.selfprof.as_deref_mut() {
             p.add_path(&["engine_loop"], engine_s, iterations);
             p.add_path(&["engine_loop", "network"], net_s, net_calls);
+            if let Some(repeats) = replayed {
+                p.add_path(&["engine_loop", "replay"], replay_s, repeats);
+            }
         }
     }
 
@@ -1337,17 +1469,12 @@ impl<'a> Executor<'a> {
             // events take effect. Ticks and fault injections are
             // excluded so budget trips are independent of observability
             // settings and fault-plan shape.
-            if (self.budget.is_some() || self.track_events)
-                && matches!(
+            if let Some(b) = &self.budget {
+                if matches!(
                     event,
                     Event::ComputeDone { .. } | Event::FlowDelivered { .. }
-                )
-            {
-                self.budget_events += 1;
-                if self.track_events {
-                    self.event_times.push(now);
-                }
-                if let Some(b) = &self.budget {
+                ) {
+                    self.budget_events += 1;
                     if let Some((kind, limit)) = b.check(self.budget_events, now) {
                         self.stop_error = Some(SimError::BudgetExceeded { kind, limit });
                         return;

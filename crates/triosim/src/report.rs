@@ -7,6 +7,8 @@
 //! (the same format the PyTorch profiler uses), so it can be inspected in
 //! any trace viewer.
 
+use std::sync::OnceLock;
+
 use serde::Value;
 use triosim_des::{QueueStats, TimeSpan, VirtualTime};
 use triosim_network::{NetObservation, PacketObservation};
@@ -34,6 +36,189 @@ pub struct TimelineRecord {
     pub end: VirtualTime,
     /// Model layer the task belongs to, when known.
     pub layer: Option<usize>,
+}
+
+/// A run's timeline as the executor hands it to the report: the records
+/// it simulated, plus the iterations steady-state replay synthesized
+/// (DESIGN.md §12) as one period's template and a repeat count.
+///
+/// The logical timeline is `records` followed by `repeats` copies of the
+/// template (the last simulated iteration, `records[template..]`), the
+/// `j`-th copy moved `j × period` later. Nothing walks the copies except
+/// a caller that iterates the timeline, which materializes it once.
+#[derive(Debug, Clone)]
+pub(crate) struct TimelineStore {
+    /// Simulated records, in canonical `(start, end)` order.
+    records: Vec<TimelineRecord>,
+    /// Index of the template's first record.
+    template: usize,
+    /// Duration of one replayed iteration.
+    period: TimeSpan,
+    /// Iterations synthesized after the simulated ones.
+    repeats: usize,
+    /// `(record count, FNV state)` of the whole logical run, folded by
+    /// the executor at every iteration boundary. After a restore it also
+    /// covers pre-restore records, which are not in `records`.
+    digest: (u64, u64),
+    /// The logical timeline, materialized on first iteration when
+    /// `repeats > 0`.
+    full: OnceLock<Vec<TimelineRecord>>,
+}
+
+impl TimelineStore {
+    pub(crate) fn new(
+        records: Vec<TimelineRecord>,
+        template: usize,
+        period: TimeSpan,
+        repeats: usize,
+        digest: (u64, u64),
+    ) -> Self {
+        assert!(
+            template <= records.len(),
+            "template lies within the records"
+        );
+        TimelineStore {
+            records,
+            template,
+            period,
+            repeats,
+            digest,
+            full: OnceLock::new(),
+        }
+    }
+
+    fn template(&self) -> &[TimelineRecord] {
+        &self.records[self.template..]
+    }
+
+    fn len(&self) -> usize {
+        self.records.len() + self.repeats * self.template().len()
+    }
+
+    fn as_slice(&self) -> &[TimelineRecord] {
+        if self.repeats == 0 {
+            return &self.records;
+        }
+        self.full.get_or_init(|| {
+            let mut all = Vec::with_capacity(self.len());
+            all.extend_from_slice(&self.records);
+            for j in 1..=self.repeats as u64 {
+                let by = self.period * j;
+                all.extend(self.template().iter().map(|r| TimelineRecord {
+                    start: r.start + by,
+                    end: r.end + by,
+                    ..r.clone()
+                }));
+            }
+            all
+        })
+    }
+
+    /// Each GPU's busy intervals (in femtoseconds) over `records`, in
+    /// time order. A GPU runs one operator at a time, so the intervals
+    /// are disjoint and sorted by both start and end.
+    fn busy_intervals(records: &[TimelineRecord], gpus: usize) -> Vec<BusyCurve> {
+        let mut out = vec![BusyCurve::default(); gpus];
+        for r in records {
+            if let TimelineTrack::Gpu(g) = r.track {
+                out[g].push(r.start.as_femtos(), r.end.as_femtos());
+            }
+        }
+        out
+    }
+}
+
+/// One GPU's busy time as a function of virtual time: disjoint, sorted
+/// intervals with running totals, answering "busy femtoseconds before
+/// `t`" by binary search.
+#[derive(Debug, Clone, Default)]
+struct BusyCurve {
+    /// `(start, end, busy before start)` per interval.
+    spans: Vec<(u64, u64, u64)>,
+    total: u64,
+}
+
+impl BusyCurve {
+    fn push(&mut self, start: u64, end: u64) {
+        self.spans.push((start, end, self.total));
+        self.total += end - start;
+    }
+
+    fn busy_before(&self, t: u64) -> u64 {
+        let i = self.spans.partition_point(|&(_, end, _)| end <= t);
+        match self.spans.get(i) {
+            Some(&(start, _, before)) => before + t.saturating_sub(start),
+            None => self.total,
+        }
+    }
+}
+
+/// A read-only view of a run's timeline.
+///
+/// [`len`](Self::len) is O(1). A run that steady-state replay shortened
+/// stores only its simulated iterations plus one repeating template, and
+/// [`iter`](Self::iter) (or [`as_slice`](Self::as_slice)) materializes
+/// the full timeline on first use. Exports such as
+/// [`SimReport::to_chrome_trace`] do that; the report's own statistics
+/// never do.
+#[derive(Clone, Copy)]
+pub struct Timeline<'a> {
+    store: &'a TimelineStore,
+}
+
+impl<'a> Timeline<'a> {
+    /// Number of records in the whole run.
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// True when the run recorded nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every record, in canonical `(start, end)` order.
+    pub fn as_slice(&self) -> &'a [TimelineRecord] {
+        self.store.as_slice()
+    }
+
+    /// Iterates every record, in canonical `(start, end)` order.
+    pub fn iter(&self) -> std::slice::Iter<'a, TimelineRecord> {
+        self.as_slice().iter()
+    }
+}
+
+impl<'a> IntoIterator for Timeline<'a> {
+    type Item = &'a TimelineRecord;
+    type IntoIter = std::slice::Iter<'a, TimelineRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Timeline<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Timeline<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// How steady-state replay shortened a run (DESIGN.md §12). Diagnostic
+/// only: it is never part of the canonical report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplaySummary {
+    /// Iterations the engine simulated.
+    pub simulated: usize,
+    /// Iterations synthesized from the last simulated one.
+    pub synthesized: usize,
+    /// Duration of each synthesized iteration.
+    pub period: TimeSpan,
 }
 
 /// Per-fault attribution of a fault-injected run: what fired, and how
@@ -67,13 +252,7 @@ pub struct SimReport {
     tasks_executed: usize,
     queue: QueueStats,
     net: NetObservation,
-    timeline: Vec<TimelineRecord>,
-    /// Precomputed digest of the *whole logical run's* timeline:
-    /// `(record count, FNV state)`. Set by checkpoint-aware runs, which
-    /// fold the digest incrementally (and, after a restore, start from
-    /// the snapshot's state — pre-restore records are not materialized
-    /// in `timeline`). `None` on plain runs, which fold at report time.
-    timeline_digest: Option<(u64, u64)>,
+    timeline: TimelineStore,
     fault_stats: Option<FaultStats>,
     packet_stats: Option<PacketObservation>,
     bottleneck: BottleneckReport,
@@ -89,7 +268,7 @@ impl SimReport {
         tasks_executed: usize,
         queue: QueueStats,
         net: NetObservation,
-        timeline: Vec<TimelineRecord>,
+        timeline: TimelineStore,
     ) -> Self {
         SimReport {
             total,
@@ -100,7 +279,6 @@ impl SimReport {
             queue,
             net,
             timeline,
-            timeline_digest: None,
             fault_stats: None,
             packet_stats: None,
             bottleneck: BottleneckReport::default(),
@@ -113,15 +291,6 @@ impl SimReport {
 
     pub(crate) fn set_packet_stats(&mut self, stats: PacketObservation) {
         self.packet_stats = Some(stats);
-    }
-
-    /// Installs the incrementally-folded timeline digest: `count`
-    /// records whose sorted-order FNV fold ended in state `fnv`. The
-    /// canonical `timeline_records`/`timeline_hash` then come from the
-    /// digest, which covers the whole logical run even when a restore
-    /// left pre-restore records unmaterialized.
-    pub(crate) fn set_timeline_digest(&mut self, count: u64, fnv: u64) {
-        self.timeline_digest = Some((count, fnv));
     }
 
     pub(crate) fn set_bottleneck(&mut self, bottleneck: BottleneckReport) {
@@ -226,26 +395,47 @@ impl SimReport {
         }
     }
 
-    /// The full execution timeline.
-    pub fn timeline(&self) -> &[TimelineRecord] {
-        &self.timeline
+    /// The full execution timeline (see [`Timeline`] for what is and is
+    /// not materialized).
+    pub fn timeline(&self) -> Timeline<'_> {
+        Timeline {
+            store: &self.timeline,
+        }
+    }
+
+    /// How steady-state replay shortened the run, or `None` when every
+    /// iteration was simulated. Diagnostic only (not canonical).
+    pub fn replay(&self) -> Option<ReplaySummary> {
+        let tl = &self.timeline;
+        (tl.repeats > 0).then(|| ReplaySummary {
+            simulated: self.bottleneck.iterations as usize - tl.repeats,
+            synthesized: tl.repeats,
+            period: tl.period,
+        })
     }
 
     /// Per-layer computation time, summed across GPUs — the "computation
     /// time of each layer or stage" output §4.1 lists. Index = layer,
-    /// value = seconds.
+    /// value = seconds. Sums integer ticks, so the result does not depend
+    /// on how the run was executed.
     pub fn per_layer_compute_s(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        for r in &self.timeline {
-            let (Some(layer), TimelineTrack::Gpu(_)) = (r.layer, r.track) else {
-                continue;
-            };
-            if out.len() <= layer {
-                out.resize(layer + 1, 0.0);
+        let mut ticks: Vec<u64> = Vec::new();
+        let tl = &self.timeline;
+        for (records, times) in [(&tl.records[..], 1), (tl.template(), tl.repeats as u64)] {
+            for r in records {
+                let (Some(layer), TimelineTrack::Gpu(_)) = (r.layer, r.track) else {
+                    continue;
+                };
+                if ticks.len() <= layer {
+                    ticks.resize(layer + 1, 0);
+                }
+                ticks[layer] += (r.end - r.start).as_femtos() * times;
             }
-            out[layer] += (r.end - r.start).as_seconds();
         }
-        out
+        ticks
+            .into_iter()
+            .map(|t| TimeSpan::from_femtos(t).as_seconds())
+            .collect()
     }
 
     /// Per-GPU utilization profile: for each GPU, the fraction of each of
@@ -259,29 +449,41 @@ impl SimReport {
     pub fn gpu_utilization(&self, buckets: usize) -> Vec<Vec<f64>> {
         assert!(buckets > 0, "need at least one bucket");
         let gpus = self.per_gpu_compute.len();
-        let total = self.total.as_seconds();
+        let total = self.total.as_femtos();
         let mut profile = vec![vec![0.0f64; buckets]; gpus];
-        if total == 0.0 {
+        if total == 0 {
             return profile;
         }
-        let width = total / buckets as f64;
-        for r in &self.timeline {
-            let TimelineTrack::Gpu(g) = r.track else {
-                continue;
-            };
-            let (s, e) = (r.start.as_seconds(), r.end.as_seconds());
-            let first = ((s / width) as usize).min(buckets - 1);
-            let last = ((e / width) as usize).min(buckets - 1);
-            #[allow(clippy::needless_range_loop)]
-            for b in first..=last {
-                let bucket_start = b as f64 * width;
-                let overlap = (e.min(bucket_start + width) - s.max(bucket_start)).max(0.0);
-                profile[g][b] += overlap / width;
+        let tl = &self.timeline;
+        let simulated = TimelineStore::busy_intervals(&tl.records, gpus);
+        let template = TimelineStore::busy_intervals(tl.template(), gpus);
+        let period = tl.period.as_femtos();
+        // Replayed iteration `j` (1-based) spans `origin + (j-1)T ..
+        // origin + jT` and repeats the template, which spans
+        // `origin - T .. origin`.
+        let origin = total - tl.repeats as u64 * period;
+        let busy_before = |g: usize, t: u64| -> u64 {
+            let mut busy = simulated[g].busy_before(t);
+            if tl.repeats > 0 && period > 0 && t > origin {
+                let x = t - origin;
+                let full = (x / period).min(tl.repeats as u64);
+                busy += full * template[g].total;
+                if full < tl.repeats as u64 {
+                    busy += template[g].busy_before(origin - period + (x - full * period));
+                }
             }
-        }
-        for row in &mut profile {
-            for v in row {
-                *v = v.min(1.0);
+            busy
+        };
+        let edge = |b: usize| (u128::from(total) * b as u128 / buckets as u128) as u64;
+        for (g, row) in profile.iter_mut().enumerate() {
+            let mut before = 0;
+            for (b, v) in row.iter_mut().enumerate() {
+                let (lo, hi) = (edge(b), edge(b + 1));
+                let busy = busy_before(g, hi);
+                if hi > lo {
+                    *v = ((busy - before) as f64 / (hi - lo) as f64).min(1.0);
+                }
+                before = busy;
             }
         }
         profile
@@ -340,13 +542,8 @@ impl SimReport {
                     ("added_hops".to_string(), u(self.net.added_hops)),
                 ]),
             ),
-            (
-                "timeline_records".to_string(),
-                u(self
-                    .timeline_digest
-                    .map_or(self.timeline.len() as u64, |(count, _)| count)),
-            ),
-            ("timeline_hash".to_string(), u(self.timeline_hash())),
+            ("timeline_records".to_string(), u(self.timeline.digest.0)),
+            ("timeline_hash".to_string(), u(self.timeline.digest.1)),
             ("bottleneck".to_string(), self.bottleneck.to_value()),
         ];
         if let Some(fs) = &self.fault_stats {
@@ -391,19 +588,6 @@ impl SimReport {
             .expect("canonical report JSON has no non-finite floats")
     }
 
-    /// FNV-1a hash over every timeline record (label, track, start/end
-    /// bits, layer). Order-sensitive, so any drift in task scheduling —
-    /// not just in the aggregate totals — changes the canonical JSON.
-    /// Checkpoint-aware runs install the digest precomputed by their
-    /// incremental segment folds (seeded, after a restore, from the
-    /// snapshot), which equals this batch fold exactly.
-    fn timeline_hash(&self) -> u64 {
-        match self.timeline_digest {
-            Some((_, fnv)) => fnv,
-            None => timeline_fnv(FNV_OFFSET, self.timeline.iter()),
-        }
-    }
-
     /// Exports the timeline as Chrome `about:tracing` JSON.
     ///
     /// Streams the timeline through the same
@@ -417,7 +601,7 @@ impl SimReport {
     /// (practically impossible for this data).
     pub fn to_chrome_trace(&self) -> Result<String, serde_json::Error> {
         let mut sink = ChromeTraceSink::new(Vec::new());
-        for r in &self.timeline {
+        for r in self.timeline() {
             let track = match r.track {
                 TimelineTrack::Gpu(i) => format!("gpu{i}"),
                 TimelineTrack::Network => "network".to_string(),
@@ -443,36 +627,93 @@ impl SimReport {
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// The timeline digest is FNV-1a over every record's label, a `0xff`
+/// separator, its track, the bits of its start and end in seconds, and
+/// its layer. Order-sensitive, so any drift in task scheduling — not just
+/// in the aggregate totals — changes the canonical JSON.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Appends the bytes of `r` that do not depend on its time.
+fn record_head(r: &TimelineRecord, out: &mut Vec<u8>) {
+    out.extend_from_slice(r.label.as_bytes());
+    out.push(0xff);
+    let track = match r.track {
+        TimelineTrack::Gpu(i) => i as u64,
+        TimelineTrack::Network => u64::MAX,
+    };
+    out.extend_from_slice(&track.to_le_bytes());
+}
+
+/// Folds the time-dependent rest of a record after its head.
+fn record_tail(h: u64, start: VirtualTime, end: VirtualTime, layer: Option<usize>) -> u64 {
+    let h = fnv(h, &start.as_seconds().to_bits().to_le_bytes());
+    let h = fnv(h, &end.as_seconds().to_bits().to_le_bytes());
+    fnv(h, &layer.map_or(u64::MAX, |l| l as u64).to_le_bytes())
+}
+
 /// Folds timeline records (in the order given, which must be the
 /// canonical `(start, end)` sort order) into a running FNV-1a state.
 /// Because the fold is sequential, a sorted run splits into sorted
 /// segments — each iteration's records — and folding segment by
 /// segment yields the same state as folding the whole run at once.
-/// That is what lets checkpoints carry a fixed-size digest instead of
-/// the records themselves.
+/// That is what lets the executor fold at every iteration boundary and
+/// checkpoints carry a fixed-size digest instead of the records.
 pub(crate) fn timeline_fnv<'a, I>(seed: u64, records: I) -> u64
 where
     I: Iterator<Item = &'a TimelineRecord>,
 {
-    let mut h = seed;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for r in records {
-        eat(r.label.as_bytes());
-        eat(&[0xff]);
-        match r.track {
-            TimelineTrack::Gpu(i) => eat(&(i as u64).to_le_bytes()),
-            TimelineTrack::Network => eat(&u64::MAX.to_le_bytes()),
-        }
-        eat(&r.start.as_seconds().to_bits().to_le_bytes());
-        eat(&r.end.as_seconds().to_bits().to_le_bytes());
-        eat(&r.layer.map_or(u64::MAX, |l| l as u64).to_le_bytes());
+    let mut head = Vec::new();
+    records.fold(seed, |h, r| {
+        head.clear();
+        record_head(r, &mut head);
+        record_tail(fnv(h, &head), r.start, r.end, r.layer)
+    })
+}
+
+/// One iteration's records prepared for repeated folding at shifted
+/// times: steady-state replay folds the template once per synthesized
+/// iteration without materializing the shifted records. The result is
+/// exactly [`timeline_fnv`] over the shifted records.
+pub(crate) struct ShiftedFold {
+    /// Every record's head bytes, back to back.
+    heads: Vec<u8>,
+    /// Per record: end of its head in `heads`, start, end, layer.
+    records: Vec<(usize, VirtualTime, VirtualTime, Option<usize>)>,
+}
+
+impl ShiftedFold {
+    pub(crate) fn new(template: &[TimelineRecord]) -> Self {
+        let mut heads = Vec::new();
+        let records = template
+            .iter()
+            .map(|r| {
+                record_head(r, &mut heads);
+                (heads.len(), r.start, r.end, r.layer)
+            })
+            .collect();
+        ShiftedFold { heads, records }
     }
-    h
+
+    /// Folds the template, every record moved `shift` later, into `h`.
+    pub(crate) fn fold(&self, h: u64, shift: TimeSpan) -> u64 {
+        let mut from = 0;
+        self.records.iter().fold(h, |h, &(to, start, end, layer)| {
+            let h = fnv(h, &self.heads[from..to]);
+            from = to;
+            record_tail(h, start + shift, end + shift, layer)
+        })
+    }
+
+    /// Records per fold.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
 }
 
 /// Merges possibly-overlapping intervals into their union: sorted,
@@ -508,6 +749,85 @@ mod tests {
         VirtualTime::from_seconds(s)
     }
 
+    /// A fully simulated timeline with its batch-folded digest.
+    fn store(records: Vec<TimelineRecord>) -> TimelineStore {
+        let digest = (
+            records.len() as u64,
+            timeline_fnv(FNV_OFFSET, records.iter()),
+        );
+        TimelineStore::new(records, 0, TimeSpan::ZERO, 0, digest)
+    }
+
+    fn rec(
+        label: &str,
+        track: TimelineTrack,
+        s: f64,
+        e: f64,
+        layer: Option<usize>,
+    ) -> TimelineRecord {
+        TimelineRecord {
+            label: label.into(),
+            track,
+            start: t(s),
+            end: t(e),
+            layer,
+        }
+    }
+
+    /// One 4 ms iteration starting at `k × 4 ms`.
+    fn iteration(k: f64) -> Vec<TimelineRecord> {
+        let at = |ms: f64| 1e-3 * (ms + 4.0 * k);
+        vec![
+            rec("fwd@g0", TimelineTrack::Gpu(0), at(0.0), at(1.5), Some(0)),
+            rec("fwd@g1", TimelineTrack::Gpu(1), at(0.0), at(1.0), Some(0)),
+            rec("ar", TimelineTrack::Network, at(1.5), at(3.0), None),
+            rec("bwd@g0", TimelineTrack::Gpu(0), at(3.0), at(4.0), Some(1)),
+        ]
+    }
+
+    fn report_of(store: TimelineStore, iterations: u64) -> SimReport {
+        let mut r = SimReport::new(
+            TimeSpan::from_millis(4.0 * iterations as f64),
+            vec![TimeSpan::ZERO; 2],
+            TimeSpan::ZERO,
+            0,
+            0,
+            QueueStats::default(),
+            NetObservation::default(),
+            store,
+        );
+        r.bottleneck.iterations = iterations;
+        r
+    }
+
+    #[test]
+    fn replayed_store_reads_like_the_fully_simulated_one() {
+        let all: Vec<TimelineRecord> = (0..7).flat_map(|k| iteration(f64::from(k))).collect();
+        let oracle = report_of(store(all.clone()), 7);
+        // Two simulated iterations; the second repeats five more times.
+        let simulated: Vec<TimelineRecord> = all[..8].to_vec();
+        let period = TimeSpan::from_millis(4.0);
+        let shifted = ShiftedFold::new(&simulated[4..]);
+        let mut fnv = timeline_fnv(FNV_OFFSET, simulated.iter());
+        for j in 1..=5u64 {
+            fnv = shifted.fold(fnv, period * j);
+        }
+        let replayed = report_of(TimelineStore::new(simulated, 4, period, 5, (28, fnv)), 7);
+
+        assert_eq!(replayed.to_canonical_string(), oracle.to_canonical_string());
+        assert_eq!(replayed.timeline().len(), 28);
+        assert_eq!(replayed.timeline(), oracle.timeline());
+        assert_eq!(replayed.per_layer_compute_s(), oracle.per_layer_compute_s());
+        assert_eq!(replayed.gpu_utilization(9), oracle.gpu_utilization(9));
+        assert_eq!(
+            replayed.to_chrome_trace().unwrap(),
+            oracle.to_chrome_trace().unwrap()
+        );
+        let summary = replayed.replay().expect("replayed");
+        assert_eq!((summary.simulated, summary.synthesized), (2, 5));
+        assert!(oracle.replay().is_none());
+    }
+
     #[test]
     fn union_of_disjoint_intervals() {
         let u = union_length(vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
@@ -535,7 +855,7 @@ mod tests {
             7,
             QueueStats::default(),
             NetObservation::default(),
-            vec![],
+            store(vec![]),
         );
         assert_eq!(report.total_time_s(), 10.0);
         assert_eq!(report.compute_time_s(), 6.0);
@@ -556,13 +876,13 @@ mod tests {
             1,
             QueueStats::default(),
             NetObservation::default(),
-            vec![TimelineRecord {
+            store(vec![TimelineRecord {
                 label: "op".into(),
                 track: TimelineTrack::Gpu(0),
                 start: t(0.0),
                 end: t(1.0),
                 layer: Some(3),
-            }],
+            }]),
         );
         let profile = report.gpu_utilization(4);
         assert_eq!(profile.len(), 1);
@@ -582,13 +902,13 @@ mod tests {
             1,
             QueueStats::default(),
             NetObservation::default(),
-            vec![TimelineRecord {
+            store(vec![TimelineRecord {
                 label: "op".into(),
                 track: TimelineTrack::Gpu(0),
                 start: t(0.0),
                 end: t(1.0),
                 layer: Some(3),
-            }],
+            }]),
         );
         let per_layer = report.per_layer_compute_s();
         assert_eq!(per_layer.len(), 4);
@@ -606,13 +926,13 @@ mod tests {
             1,
             QueueStats::default(),
             NetObservation::default(),
-            vec![TimelineRecord {
+            store(vec![TimelineRecord {
                 label: "conv1@g0".into(),
                 track: TimelineTrack::Gpu(0),
                 start: t(0.0),
                 end: t(1.0),
                 layer: None,
-            }],
+            }]),
         );
         let json = report.to_chrome_trace().unwrap();
         assert!(json.contains("conv1@g0"));

@@ -92,15 +92,11 @@ fn restore_from_every_boundary_is_byte_identical() {
     let t = trace(ModelId::ResNet18, 16);
     let p = Platform::p2(2);
     let n = 5;
+    // The uninterrupted run is replayed; every restored run simulates
+    // its remaining iterations. Both must agree.
     let uninterrupted = SimBuilder::new(&t, &p).iterations(n).run();
+    assert!(uninterrupted.replay().is_some());
     let serial = uninterrupted.to_canonical_json();
-    // The uninterrupted oracle at shard count 4 must agree too.
-    let sharded = SimBuilder::new(&t, &p)
-        .iterations(n)
-        .shards(4)
-        .run()
-        .to_canonical_json();
-    assert_eq!(serial, sharded);
     for k in 1..=n {
         let path = temp_path("boundary");
         // A k-iteration run with cadence k leaves the snapshot a longer
@@ -328,11 +324,12 @@ fn snapshot_with_more_iterations_than_requested_is_corrupt() {
 }
 
 #[test]
-fn shard_warning_names_the_reason_on_stderr() {
-    // Satellite: the silent serial fallback is gone. A `--shards`
-    // request that cannot shard (single iteration here) must say so.
+fn checkpointed_cli_run_simulates_every_iteration() {
+    // The `simulate` summary says how much of the run was simulated: a
+    // plain run replays, a checkpointed one simulates every iteration.
     let bin = env!("CARGO_BIN_EXE_triosim-cli");
-    let tmp = temp_path("warn-trace").with_extension("json");
+    let tmp = temp_path("replay-trace").with_extension("json");
+    let snap = temp_path("replay-snap");
     let out = std::process::Command::new(bin)
         .args(["trace", "--model", "vgg11", "--batch", "8", "--gpu", "A100"])
         .arg("-o")
@@ -340,32 +337,34 @@ fn shard_warning_names_the_reason_on_stderr() {
         .output()
         .expect("trace subcommand runs");
     assert!(out.status.success(), "trace failed: {out:?}");
-    let out = std::process::Command::new(bin)
-        .args(["simulate", "--shards", "4", "--iterations", "1"])
-        .arg("--trace")
-        .arg(&tmp)
-        .output()
-        .expect("simulate subcommand runs");
+    let simulate = |extra: &[&std::ffi::OsStr]| {
+        std::process::Command::new(bin)
+            .args(["simulate", "--iterations", "4"])
+            .arg("--trace")
+            .arg(&tmp)
+            .args(extra)
+            .output()
+            .expect("simulate subcommand runs")
+    };
+    let out = simulate(&[]);
     assert!(out.status.success(), "simulate failed: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stderr.contains("--shards 4 ignored") && stderr.contains("single iteration"),
-        "stderr must name the fallback reason, got: {stderr}"
+        stdout.contains("replay        : simulated 2 of 4 iterations (period "),
+        "plain run replays: {stdout}"
     );
-    // A shardable run stays silent.
-    let out = std::process::Command::new(bin)
-        .args(["simulate", "--shards", "2", "--iterations", "2"])
-        .arg("--trace")
-        .arg(&tmp)
-        .output()
-        .expect("simulate subcommand runs");
+    let out = simulate(&["--checkpoint".as_ref(), snap.as_os_str()]);
     assert!(out.status.success(), "simulate failed: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        !stderr.contains("ignored"),
-        "no warning expected on the sharded path, got: {stderr}"
+        stdout.contains("replay        : simulated 4 of 4 iterations\n"),
+        "checkpointed run simulates everything: {stdout}"
     );
+    // Iteration-axis sharding is gone: its flag is an unknown option.
+    let out = simulate(&["--shards".as_ref(), "4".as_ref()]);
+    assert!(!out.status.success(), "--shards must be rejected");
     std::fs::remove_file(&tmp).ok();
+    std::fs::remove_file(&snap).ok();
 }
 
 proptest! {
@@ -373,8 +372,8 @@ proptest! {
 
     /// Kill-at-any-boundary identity over random model × parallelism ×
     /// iteration counts: restoring boundary `k` of an `n`-iteration run
-    /// reproduces the uninterrupted run's canonical bytes exactly, at
-    /// shard counts 1 and 4.
+    /// reproduces the uninterrupted (possibly replayed) run's canonical
+    /// bytes exactly.
     #[test]
     fn restore_from_any_checkpoint_is_byte_identical(
         model_idx in 0usize..2,
@@ -391,13 +390,6 @@ proptest! {
             .iterations(n)
             .run()
             .to_canonical_json();
-        let sharded = SimBuilder::new(&t, &p)
-            .parallelism(par)
-            .iterations(n)
-            .shards(4)
-            .run()
-            .to_canonical_json();
-        prop_assert_eq!(&serial, &sharded, "sharded oracle diverged");
         let path = temp_path("prop");
         SimBuilder::new(&t, &p)
             .parallelism(par)

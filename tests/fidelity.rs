@@ -14,10 +14,9 @@
 //!   cannot see. Canonical packet reports are pinned as golden
 //!   snapshots (`tests/golden/packet_{ddp,tp}.json`), re-blessable via
 //!   `TRIOSIM_BLESS=1 cargo test --test fidelity`.
-//! * **Determinism**: packet runs are byte-identical across invocations
-//!   and across the `--shards` knob — the packet tier is not
-//!   iteration-invariant, so a shard request falls back to the serial
-//!   oracle with a warning naming that reason.
+//! * **Determinism**: packet runs are byte-identical across invocations.
+//!   The packet tier is not iteration-invariant, so steady-state replay
+//!   never engages on it: every iteration is simulated.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -150,33 +149,28 @@ fn tiers_converge_on_uncongested_topology() {
 }
 
 /// Packet runs are deterministic: byte-identical canonical reports
-/// across two invocations, and across the `--shards` knob (the packet
-/// tier gates off sharding, so shard counts only change the warning on
-/// stderr, never the bytes).
+/// across two invocations. The packet tier is not iteration-invariant,
+/// so steady-state replay never shortens it.
 #[test]
-fn packet_run_is_byte_identical_across_invocations_and_shards() {
+fn packet_run_is_byte_identical_across_invocations() {
     let trace = Tracer::new(GpuModel::A100).trace(&ModelId::ResNet18.build(8));
     let platform = congested_platform();
-    let run = |shards: usize| {
+    let run = || {
         let r = SimBuilder::new(&trace, &platform)
             .parallelism(Parallelism::DataParallel { overlap: true })
             .fidelity(Fidelity::Packet)
-            .iterations(2)
-            .shards(shards)
+            .iterations(3)
             .run();
+        assert!(r.replay().is_none(), "packet runs simulate every iteration");
         serde_json::to_string(&r.to_canonical_json()).expect("canonical JSON is finite")
     };
-    let first = run(1);
-    assert_eq!(first, run(1), "rerun diverged");
-    assert_eq!(first, run(2), "shard knob changed packet bytes");
+    assert_eq!(run(), run(), "rerun diverged");
 }
 
-/// The serial-fallback warning must fire and name the reason when a
-/// packet-fidelity run requests sharding: the packet model is not
-/// iteration-invariant, so `execute_sharded` refuses it. The reports on
-/// both sides of the warning must still be byte-identical.
+/// Through the CLI, a multi-iteration packet run says it simulated every
+/// iteration, and reruns write byte-identical reports.
 #[test]
-fn packet_shard_request_warns_and_names_the_reason() {
+fn packet_cli_run_is_simulated_in_full() {
     let bin = env!("CARGO_BIN_EXE_triosim-cli");
     let dir = std::env::temp_dir().join(format!("triosim-fidelity-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -191,7 +185,7 @@ fn packet_shard_request_warns_and_names_the_reason() {
         .expect("trace subcommand runs");
     assert!(out.status.success(), "trace failed: {out:?}");
 
-    let simulate = |shards: &str, report: &PathBuf| {
+    let simulate = |report: &PathBuf| {
         let out = Command::new(bin)
             .args([
                 "simulate",
@@ -199,8 +193,9 @@ fn packet_shard_request_warns_and_names_the_reason() {
                 "packet",
                 "--platform",
                 "fat:A100:2",
+                "--iterations",
+                "3",
             ])
-            .args(["--iterations", "2", "--shards", shards])
             .arg("--trace")
             .arg(&trace)
             .arg("--report")
@@ -208,27 +203,20 @@ fn packet_shard_request_warns_and_names_the_reason() {
             .output()
             .expect("simulate subcommand runs");
         assert!(out.status.success(), "simulate failed: {out:?}");
-        String::from_utf8_lossy(&out.stderr).into_owned()
+        String::from_utf8_lossy(&out.stdout).into_owned()
     };
 
-    let sharded_report = dir.join("sharded.json");
-    let stderr = simulate("2", &sharded_report);
+    let first = dir.join("first.json");
+    let stdout = simulate(&first);
     assert!(
-        stderr.contains("shard request ignored")
-            && stderr.contains("the network model is not iteration-invariant"),
-        "fallback warning must name the reason, got: {stderr}"
+        stdout.contains("replay        : simulated 3 of 3 iterations\n"),
+        "the packet tier is never replayed, got: {stdout}"
     );
-
-    let serial_report = dir.join("serial.json");
-    let stderr = simulate("1", &serial_report);
-    assert!(
-        !stderr.contains("ignored"),
-        "a serial run warns about nothing, got: {stderr}"
-    );
-
-    let sharded = std::fs::read(&sharded_report).expect("sharded report written");
-    let serial = std::fs::read(&serial_report).expect("serial report written");
-    assert_eq!(sharded, serial, "shard fallback changed report bytes");
+    let second = dir.join("second.json");
+    simulate(&second);
+    let a = std::fs::read(&first).expect("first report written");
+    let b = std::fs::read(&second).expect("second report written");
+    assert_eq!(a, b, "packet reruns changed report bytes");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -83,12 +83,13 @@ fn golden_pp() {
     check("pp", Parallelism::Pipeline { chunks: 2 });
 }
 
-/// The golden quartet under `--shards 4`: a single-iteration run takes
-/// the serial path regardless of the shard knob, so the snapshots must
-/// match exactly — and at multiple iterations the sharded path engages
-/// and must still be byte-identical to the serial oracle.
+/// The golden quartet under steady-state replay: at multiple iterations
+/// replay engages, and its bytes must equal a checkpointed run's, which
+/// simulates every iteration (and whose own bytes the checkpoint tests
+/// tie to the plain loop). The single-iteration snapshots above never
+/// replay.
 #[test]
-fn golden_quartet_is_shard_invariant() {
+fn golden_quartet_is_replay_invariant() {
     let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
     let platform = Platform::p2(2);
     let quartet = [
@@ -98,30 +99,25 @@ fn golden_quartet_is_shard_invariant() {
         ("pp", Parallelism::Pipeline { chunks: 2 }),
     ];
     for (name, parallelism) in quartet {
-        // Snapshot configuration (1 iteration): the shard knob is inert.
-        let sharded = SimBuilder::new(&trace, &platform)
+        let replayed = SimBuilder::new(&trace, &platform)
             .parallelism(parallelism)
-            .shards(4)
+            .iterations(6)
             .run();
-        let sharded =
-            serde_json::to_string(&sharded.to_canonical_json()).expect("canonical JSON is finite");
-        if !bless_mode() {
-            let path = golden_dir().join(format!("{name}.json"));
-            let expected = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            assert_eq!(sharded, expected, "`{name}` drifted under --shards 4");
-        }
-        // Multi-iteration: the parallel path engages; bytes must match
-        // the serial oracle exactly.
-        let run = |shards: usize| {
-            let r = SimBuilder::new(&trace, &platform)
-                .parallelism(parallelism)
-                .iterations(3)
-                .shards(shards)
-                .run();
-            serde_json::to_string(&r.to_canonical_json()).expect("canonical JSON is finite")
-        };
-        assert_eq!(run(1), run(4), "`{name}` x3 diverged under --shards 4");
+        assert!(replayed.replay().is_some(), "`{name}` x6 replays");
+        let path =
+            std::env::temp_dir().join(format!("triosim-golden-{name}-{}.ckpt", std::process::id()));
+        let serial = SimBuilder::new(&trace, &platform)
+            .parallelism(parallelism)
+            .iterations(6)
+            .checkpoint(&path, 6)
+            .run();
+        std::fs::remove_file(&path).ok();
+        assert!(serial.replay().is_none());
+        assert_eq!(
+            serial.to_canonical_string(),
+            replayed.to_canonical_string(),
+            "`{name}` x6 diverged under replay"
+        );
     }
 }
 
