@@ -82,10 +82,6 @@ impl FlowNetworkConfig {
 /// * [`Full`](ReallocationMode::Full) — refills every component from
 ///   scratch but still delta-reschedules. The equivalence oracle the
 ///   incremental path is validated against.
-/// * [`FullReschedule`](ReallocationMode::FullReschedule) — refills every
-///   component *and* re-arms every in-flight delivery, whether or not its
-///   rate changed: the pre-fast-path behaviour, kept as the benchmark
-///   baseline for the O(F²) event churn it produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReallocationMode {
     /// Component-scoped refill + delta-rescheduling (the fast path).
@@ -93,8 +89,6 @@ pub enum ReallocationMode {
     Incremental,
     /// From-scratch refill + delta-rescheduling (equivalence oracle).
     Full,
-    /// From-scratch refill + re-arm everything (legacy baseline).
-    FullReschedule,
 }
 
 impl std::str::FromStr for ReallocationMode {
@@ -104,9 +98,8 @@ impl std::str::FromStr for ReallocationMode {
         match spec {
             "incremental" => Ok(ReallocationMode::Incremental),
             "full" => Ok(ReallocationMode::Full),
-            "full-reschedule" | "full_reschedule" => Ok(ReallocationMode::FullReschedule),
             _ => Err(format!(
-                "unknown reallocation mode `{spec}` (try incremental, full, full-reschedule)"
+                "unknown reallocation mode `{spec}` (try incremental or full)"
             )),
         }
     }
@@ -369,8 +362,6 @@ impl FlowNetwork {
 
     /// Delivery events re-armed because a reallocation changed an
     /// in-flight flow's rate — the model's genuine reallocation churn.
-    /// (In [`ReallocationMode::FullReschedule`] this reverts to counting
-    /// every re-arm, changed or not.)
     pub fn reschedules(&self) -> u64 {
         self.reschedules
     }
@@ -738,7 +729,7 @@ impl FlowNetwork {
                 #[cfg(debug_assertions)]
                 self.assert_full_equivalence();
             }
-            ReallocationMode::Full | ReallocationMode::FullReschedule => {
+            ReallocationMode::Full => {
                 let mut emit = std::mem::take(&mut self.scratch.emit);
                 emit.clear();
                 emit.extend(
@@ -752,14 +743,12 @@ impl FlowNetwork {
     }
 
     /// Emits `Schedule` commands — in `FlowId` order for determinism —
-    /// for the candidate flows whose rate changed (plus the new flow,
-    /// plus everything in [`ReallocationMode::FullReschedule`]).
+    /// for the candidate flows whose rate changed, plus the new flow.
     fn emit_commands(&mut self, now: VirtualTime, new_slot: Option<u32>) -> Vec<NetCommand> {
         let sc = &mut self.scratch;
         let slots = &mut self.slots;
         sc.emit
             .sort_unstable_by_key(|&s| slots[s as usize].as_ref().expect("candidate live").id);
-        let rearm_all = self.mode == ReallocationMode::FullReschedule;
         let mut cmds = Vec::with_capacity(sc.emit.len());
         let mut reschedules = 0u64;
         for &s in &sc.emit {
@@ -768,7 +757,7 @@ impl FlowNetwork {
             let is_new = new_slot == Some(s);
             let changed = new_rate.to_bits() != f.rate.to_bits();
             f.rate = new_rate;
-            if !(is_new || changed || rearm_all) {
+            if !(is_new || changed) {
                 // Delta-rescheduling: an unchanged rate means the armed
                 // delivery event is still exact — leave it alone.
                 continue;
@@ -1104,7 +1093,6 @@ impl NetworkModel for FlowNetwork {
         fold(&[match self.mode {
             ReallocationMode::Incremental => 0u8,
             ReallocationMode::Full => 1,
-            ReallocationMode::FullReschedule => 2,
         }]);
         h
     }

@@ -80,8 +80,7 @@ pub struct Scenario {
     pub collective: String,
     /// Back-to-back training iterations to simulate.
     pub iterations: u64,
-    /// Flow-network reallocation mode: `incremental`, `full`, or
-    /// `full-reschedule`.
+    /// Flow-network reallocation mode: `incremental` or `full`.
     pub realloc: String,
     /// Optional fault-injection plan.
     pub faults: Option<FaultPlan>,

@@ -432,22 +432,22 @@ fn apply_sim_flags<'a>(
     Ok(builder)
 }
 
-/// Runs the configured builder, routing through the profiled session
-/// path when `--profile` was given (the profiler comes back for further
-/// spans). Profiling never changes the report.
+/// Runs the configured builder, profiling it when `--profile` was given
+/// (the profiler comes back for further spans). Profiling never changes
+/// the report.
 fn run_builder(
     builder: SimBuilder<'_>,
     opts: &HashMap<String, String>,
 ) -> Result<(triosim::SimReport, Option<SelfProfiler>), String> {
-    if opts.contains_key("profile") {
-        let mut prof = SelfProfiler::new();
-        let report = builder
-            .try_run_profiled(&mut prof)
-            .map_err(|e| e.to_string())?;
-        Ok((report, Some(prof)))
+    let mut prof = if opts.contains_key("profile") {
+        SelfProfiler::new()
     } else {
-        Ok((builder.try_run().map_err(|e| e.to_string())?, None))
-    }
+        SelfProfiler::disabled()
+    };
+    let report = builder
+        .try_run_profiled(&mut prof)
+        .map_err(|e| e.to_string())?;
+    Ok((report, prof.is_enabled().then_some(prof)))
 }
 
 fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {

@@ -3,16 +3,16 @@
 //! A snapshot captures the complete engine state at a *quiescent
 //! iteration boundary* — the instant between two training iterations
 //! when the event queue is drained, no flow is in flight, and any
-//! pending monitor-tick or fault-arming event has been cancelled (the
-//! same boundaries at which steady-state replay compares iterations).
+//! armed fault event has been cancelled (the same boundaries at which
+//! steady-state replay compares iterations).
 //! At such a boundary the entire simulation reduces to accumulated
 //! counters and records: virtual clock, queue statistics, per-GPU busy
 //! time, communication intervals, attribution buckets, network link
 //! state, and the fault runtime's cursor and counters. Nothing
 //! event-shaped needs to be serialized, which is what makes
-//! byte-identical resumption possible: a restored run re-arms its
-//! monitor tick and next fault exactly the way an uninterrupted run
-//! re-arms them after the boundary cancellation in `run_once`.
+//! byte-identical resumption possible: a restored run restarts its
+//! sampling grid and re-arms its next fault exactly the way an
+//! uninterrupted run does at the boundary in `run_once`.
 //!
 //! Snapshot size stays proportional to the iteration count, not the
 //! event count: communication intervals are stored as their *merged
@@ -163,7 +163,8 @@ pub(crate) struct ExecutorState {
     pub now: VirtualTime,
     /// Event-queue statistics (scheduled/delivered/cancelled/...).
     pub queue: QueueStats,
-    /// Event-dispatch counters by kind (compute, flow, tick, fault).
+    /// Event-dispatch counters by kind (compute, flow, tick, fault). The
+    /// tick slot is always zero: monitor samples are not queue events.
     pub dispatches: Vec<u64>,
     /// Per-GPU accumulated busy time.
     pub gpu_busy: Vec<TimeSpan>,

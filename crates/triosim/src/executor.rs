@@ -38,78 +38,56 @@ enum Event {
     FlowDelivered {
         flow: FlowId,
     },
-    /// Observability sampling tick — never affects simulation results.
-    MonitorTick,
     /// Injection point of one timed fault from the session timeline.
     Fault {
         idx: usize,
     },
 }
 
-/// Observability options for one execution run.
+/// Everything one run is configured with besides its graph and network.
 ///
-/// The default is fully off: no recorder, no progress reporting, and the
-/// executor takes the exact same code path as [`execute_iterations`].
-/// With a recorder attached, the executor emits per-operator and
-/// per-collective spans, per-event-kind dispatch counters, and sampled
-/// gauges (queue depth, in-flight flows, per-link utilization) driven by
-/// a virtual-time [`Ticker`] at `sample_period`. Monitor ticks are
-/// carefully kept out of the simulation's critical path: they never
-/// extend the reported total time and are cancelled the moment no real
-/// event remains.
-#[derive(Debug)]
-pub struct Observability {
-    /// Receives spans and metrics. `None` (or a disabled recorder)
-    /// skips all instrumentation.
+/// Each field feeds one hook of the single executor, and the hooks
+/// compose: any combination runs the same engine loop. The default is a
+/// plain one-iteration run. Observation is passive — sampling happens
+/// between events, never as queue events — so recorders, progress and
+/// the profiler leave the report's canonical bytes unchanged.
+pub(crate) struct RunOptions<'a> {
+    /// Back-to-back iterations of the whole run, including any the
+    /// restored snapshot already completed.
+    pub iterations: usize,
+    /// Fault plan; an empty plan attaches nothing.
+    pub faults: FaultPlan,
+    /// Runaway guard; an unlimited budget attaches nothing.
+    pub budget: RunBudget,
+    /// Receives spans and metrics; `None` or a disabled recorder skips
+    /// all instrumentation.
     pub recorder: Option<Box<dyn Recorder>>,
-    /// Live wall-clock progress reporting (stderr by default).
+    /// Live wall-clock progress reporting.
     pub progress: Option<ProgressMonitor>,
     /// Virtual-time period between monitor samples.
     pub sample_period: TimeSpan,
+    /// Host self-profiler (wall clock only).
+    pub profiler: Option<&'a mut SelfProfiler>,
+    /// Periodic boundary snapshots.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Boundary snapshot to resume from, already validated against the
+    /// scenario's spec hash.
+    pub restore: Option<SimSnapshot>,
 }
 
-impl Default for Observability {
+impl Default for RunOptions<'_> {
     fn default() -> Self {
-        Observability {
+        RunOptions {
+            iterations: 1,
+            faults: FaultPlan::default(),
+            budget: RunBudget::unlimited(),
             recorder: None,
             progress: None,
             sample_period: TimeSpan::from_millis(1.0),
+            profiler: None,
+            checkpoint: None,
+            restore: None,
         }
-    }
-}
-
-impl Observability {
-    /// No observability: identical behavior to the plain executor.
-    pub fn off() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a recorder.
-    pub fn with_recorder(mut self, recorder: Box<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attaches a progress monitor.
-    pub fn with_progress(mut self, progress: ProgressMonitor) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
-    /// Overrides the virtual-time sampling period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_sample_period(mut self, period: TimeSpan) -> Self {
-        assert!(period > TimeSpan::ZERO, "sample period must be positive");
-        self.sample_period = period;
-        self
-    }
-
-    /// True when any observability output is requested.
-    pub fn is_active(&self) -> bool {
-        self.progress.is_some() || self.recorder.as_ref().is_some_and(|r| r.enabled())
     }
 }
 
@@ -141,221 +119,57 @@ pub fn execute_iterations(
     network: &mut dyn NetworkModel,
     iterations: usize,
 ) -> SimReport {
-    assert!(iterations > 0, "need at least one iteration");
-    Executor::new(graph, network)
-        .run(iterations)
-        .unwrap_or_else(|e| panic!("fault-free execution cannot fail: {e}"))
-}
-
-/// [`execute_iterations`] with observability: spans, metrics, and live
-/// progress flow into `obs` while the simulation runs.
-///
-/// Simulation results are identical to the unobserved run — monitor
-/// ticks advance no state and never extend the reported total — and all
-/// recorder output is a deterministic function of the graph, the network
-/// model, and `obs.sample_period`.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_observed(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-) -> SimReport {
-    assert!(iterations > 0, "need at least one iteration");
-    Executor::new(graph, network)
-        .with_observability(obs)
-        .run(iterations)
-        .unwrap_or_else(|e| panic!("fault-free execution cannot fail: {e}"))
-}
-
-/// [`execute_observed`] with fault injection: the timed faults, compute
-/// slowdowns, and jitter described by `plan` are applied while the graph
-/// executes.
-///
-/// An empty plan takes the exact fault-free code path and produces a
-/// bit-identical report to [`execute_observed`]. A non-empty plan is
-/// deterministic in `plan` (including its seed): two runs with the same
-/// plan produce identical reports.
-///
-/// The plan is consumed as-is; use
-/// [`FaultPlan::validate`] (or [`SimBuilder::try_run`](crate::SimBuilder::try_run),
-/// which validates for you) to reject plans referencing GPUs or nodes the
-/// platform does not have.
-///
-/// # Errors
-///
-/// Returns [`SimError::Partitioned`] when a link failure disconnects a
-/// transfer's endpoints, and [`SimError::GpuLost`] when a GPU drop-out
-/// fires (its pinned tasks can never run).
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_faulted(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    execute_budgeted(
-        graph,
-        network,
+    let opts = RunOptions {
         iterations,
-        obs,
-        plan,
-        RunBudget::unlimited(),
-    )
+        ..RunOptions::default()
+    };
+    run(graph, network, opts).unwrap_or_else(|e| panic!("fault-free execution cannot fail: {e}"))
 }
 
-/// [`execute_faulted`] with a runaway guard: the run terminates with
-/// [`SimError::BudgetExceeded`] if it blows any axis of `budget`.
+/// Runs `graph` on `network` with every feature `opts` asks for.
 ///
-/// An unlimited budget takes the exact [`execute_faulted`] code path (and
-/// with an empty plan, the plain fault-free path) — reports stay
-/// bit-identical. The budget spans the whole multi-iteration run; its
-/// event axis counts only real compute/flow events, never monitor ticks
-/// or fault injections, so deterministic-axis trips are independent of
-/// observability settings.
+/// A restored run applies the snapshot's network half, rehydrates the
+/// executor, and simulates only the remaining iterations; its report is
+/// byte-identical to the uninterrupted run's.
 ///
 /// # Errors
 ///
-/// [`SimError::BudgetExceeded`] on a tripped budget, plus everything
-/// [`execute_faulted`] reports.
+/// [`SimError::Partitioned`] / [`SimError::GpuLost`] when an injected
+/// fault makes the remaining work impossible,
+/// [`SimError::BudgetExceeded`] on a tripped budget, and
+/// [`SimError::Checkpoint`] when a snapshot cannot be written or the
+/// restored one is structurally invalid.
 ///
 /// # Panics
 ///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_budgeted(
+/// Same conditions as [`execute_iterations`], plus a snapshot that
+/// completed more iterations than the run requests.
+pub(crate) fn run(
     graph: &TaskGraph,
     network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-    plan: &FaultPlan,
-    budget: RunBudget,
+    opts: RunOptions<'_>,
 ) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_observability(obs)
-        .with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    ex.run(iterations)
-}
-
-/// [`execute_budgeted`] with host self-profiling: when `prof` is
-/// enabled, wall-clock time spent in the engine loop (and, within it,
-/// the network model's send/deliver/reallocation work) accumulates
-/// under an `engine_loop` span.
-///
-/// Profiling never touches virtual-time state: the report — including
-/// its canonical bytes — is byte-identical with profiling on or off.
-///
-/// # Errors
-///
-/// Same as [`execute_budgeted`].
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_budgeted_profiled<'a>(
-    graph: &'a TaskGraph,
-    network: &'a mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-    plan: &FaultPlan,
-    budget: RunBudget,
-    prof: Option<&'a mut SelfProfiler>,
-) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_observability(obs)
-        .with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    if let Some(p) = prof {
-        ex = ex.with_selfprof(p);
-    }
-    ex.run(iterations)
-}
-
-/// [`execute_budgeted`] with periodic boundary snapshots: every
-/// `ck.every`-th iteration boundary writes a crash-safe snapshot to
-/// `ck.path`. Checkpointing reads only quiescent state, so the report —
-/// including its canonical bytes — is byte-identical to the same run
-/// without checkpointing. Observability is not supported on this path
-/// (the builder gates it off with a warning).
-///
-/// # Errors
-///
-/// [`SimError::Checkpoint`] when a snapshot cannot be written, plus
-/// everything [`execute_budgeted`] reports.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub(crate) fn execute_with_checkpoints(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    plan: &FaultPlan,
-    budget: RunBudget,
-    ck: CheckpointConfig,
-) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_budget(budget)
-        .with_checkpoint(ck);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    ex.run(iterations)
-}
-
-/// Resumes a run from a boundary snapshot: executes iterations
-/// `completed..iterations` on top of the restored state, producing a
-/// report byte-identical to an uninterrupted `iterations`-iteration run.
-/// The caller has already validated the spec hash and applied the
-/// network half of the snapshot via `NetworkModel::restore_state`. When
-/// `ck` is set, checkpointing continues on the resumed run.
-///
-/// # Errors
-///
-/// [`SimError::Checkpoint`] on structurally invalid snapshot state, plus
-/// everything [`execute_budgeted`] reports.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_restored(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    plan: &FaultPlan,
-    budget: RunBudget,
-    completed: usize,
-    state: &ExecutorState,
-    ck: Option<CheckpointConfig>,
-) -> Result<SimReport, SimError> {
+    assert!(opts.iterations > 0, "need at least one iteration");
+    let completed = opts.restore.as_ref().map_or(0, |s| s.completed as usize);
     assert!(
-        completed <= iterations,
+        completed <= opts.iterations,
         "restore cannot exceed the requested iteration count"
     );
-    let mut ex = Executor::new(graph, network).with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
+    if let Some(snap) = &opts.restore {
+        network
+            .restore_state(&snap.state.net)
+            .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
     }
-    if let Some(ck) = ck {
-        ex = ex.with_checkpoint(ck);
+    let mut ex = Executor::new(graph, network)
+        .with_budget(opts.budget)
+        .with_observability(opts.recorder, opts.progress, opts.sample_period)
+        .with_faults(FaultSession::new(&opts.faults, graph.gpus()))
+        .with_selfprof(opts.profiler)
+        .with_checkpoint(opts.checkpoint);
+    if let Some(snap) = &opts.restore {
+        ex = ex.with_restored_state(completed, &snap.state)?;
     }
-    let ex = ex.with_restored_state(completed, state)?;
-    ex.run(iterations - completed)
+    ex.run(opts.iterations - completed)
 }
 
 /// Maps a topology node to a GPU index under the repo-wide platform
@@ -448,10 +262,10 @@ struct FaultRuntime {
     session: FaultSession,
     /// Next timeline entry to arm.
     cursor: usize,
-    /// The armed injection event. Like monitor ticks, fault events do not
-    /// count as real work: they are cancelled the moment no real event
-    /// remains, so a fault scheduled past the end of the workload can
-    /// never extend the reported total time.
+    /// The armed injection event. Fault events do not count as real
+    /// work: they are cancelled the moment no real event remains, so a
+    /// fault scheduled past the end of the workload can never extend the
+    /// reported total time.
     fault_event: Option<EventId>,
     /// Faults that actually fired.
     injected: u64,
@@ -500,17 +314,22 @@ struct Executor<'a> {
     tl_mark: usize,
     completed: usize,
     bytes_transferred: u64,
-    // ------- observability (all inert unless `ticking`/`observing`) -------
-    obs: Observability,
+    // ------- observability (all inert unless `ticker`/`observing`) -------
+    recorder: Option<Box<dyn Recorder>>,
+    progress: Option<ProgressMonitor>,
     /// True when a live, enabled recorder is attached.
     observing: bool,
-    /// True when monitor ticks should be scheduled at all.
-    ticking: bool,
+    /// Monitor sampling grid; `Some` when a recorder or progress monitor
+    /// is attached. Samples are taken between events, never queued.
     ticker: Option<Ticker>,
-    tick_event: Option<EventId>,
-    /// Pending non-tick events; ticks stop when this reaches zero.
+    /// The next sampling instant of the current iteration.
+    next_sample: Option<VirtualTime>,
+    /// Pending compute/flow events; an armed fault is cancelled when
+    /// this reaches zero.
     pending_real: usize,
-    /// Per-kind dispatch counts: [compute, flow, tick, fault].
+    /// Per-kind dispatch counts: [compute, flow, tick, fault]. The tick
+    /// slot stays zero (samples are not events); it keeps the snapshot
+    /// format's four slots.
     dispatches: [u64; 4],
     // ------- fault injection (both `None` on fault-free runs) -------
     faults: Option<FaultRuntime>,
@@ -522,8 +341,7 @@ struct Executor<'a> {
     /// Per-run budget; `None` keeps the exact pre-budget code path.
     budget: Option<RunBudget>,
     /// Real (compute/flow) events delivered across all iterations;
-    /// the budget's event axis counts these, never ticks or faults, so
-    /// tripping is independent of observability settings.
+    /// the budget's event axis counts these, never fault injections.
     budget_events: u64,
     /// Iteration currently executing (jitter coordinate).
     current_iter: usize,
@@ -624,11 +442,11 @@ impl<'a> Executor<'a> {
             tl_mark: 0,
             completed: 0,
             bytes_transferred: 0,
-            obs: Observability::off(),
+            recorder: None,
+            progress: None,
             observing: false,
-            ticking: false,
             ticker: None,
-            tick_event: None,
+            next_sample: None,
             pending_real: 0,
             dispatches: [0; 4],
             faults: None,
@@ -663,17 +481,26 @@ impl<'a> Executor<'a> {
 
     /// Attaches a host self-profiler. Wall clock only; virtual-time
     /// state and the report stay byte-identical.
-    fn with_selfprof(mut self, prof: &'a mut SelfProfiler) -> Self {
-        self.profiling = prof.is_enabled();
-        self.selfprof = Some(prof);
+    fn with_selfprof(mut self, prof: Option<&'a mut SelfProfiler>) -> Self {
+        self.profiling = prof.as_ref().is_some_and(|p| p.is_enabled());
+        self.selfprof = prof;
         self
     }
 
-    fn with_observability(mut self, obs: Observability) -> Self {
-        self.observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
-        self.ticking = self.observing || obs.progress.is_some();
-        if self.ticking {
-            self.ticker = Some(Ticker::new(obs.sample_period));
+    /// Attaches a recorder and a progress monitor. A recorder receives
+    /// per-operator and per-collective spans, per-kind dispatch counters,
+    /// and gauges (queue depth, in-flight flows, per-link utilization)
+    /// sampled every `sample_period` of virtual time while either
+    /// observer is present.
+    fn with_observability(
+        mut self,
+        recorder: Option<Box<dyn Recorder>>,
+        progress: Option<ProgressMonitor>,
+        sample_period: TimeSpan,
+    ) -> Self {
+        self.observing = recorder.as_ref().is_some_and(|r| r.enabled());
+        if self.observing || progress.is_some() {
+            self.ticker = Some(Ticker::new(sample_period));
         }
         if self.observing {
             for (ci, meta) in self.graph.collectives().iter().enumerate() {
@@ -682,15 +509,19 @@ impl<'a> Executor<'a> {
             }
             self.collective_begin = vec![None; self.graph.collectives().len()];
         }
-        self.obs = obs;
+        self.recorder = recorder;
+        self.progress = progress;
         self
     }
 
-    /// Attaches a non-empty fault session. The fault timeline spans the
-    /// whole multi-iteration run (times are absolute, not per-iteration).
+    /// Attaches a fault session unless it is empty, which keeps the
+    /// fault-free code path. The fault timeline spans the whole
+    /// multi-iteration run (times are absolute, not per-iteration).
     fn with_faults(mut self, session: FaultSession) -> Self {
-        let gpus = self.gpus.len();
-        self.faults = Some(FaultRuntime::new(session, gpus));
+        if !session.is_empty() {
+            let gpus = self.gpus.len();
+            self.faults = Some(FaultRuntime::new(session, gpus));
+        }
         self
     }
 
@@ -703,8 +534,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Enables periodic boundary snapshots to `ck.path`.
-    fn with_checkpoint(mut self, ck: CheckpointConfig) -> Self {
-        self.ckpt = Some(ck);
+    fn with_checkpoint(mut self, ck: Option<CheckpointConfig>) -> Self {
+        self.ckpt = ck;
         self
     }
 
@@ -828,9 +659,9 @@ impl<'a> Executor<'a> {
     /// crash-safely over the configured snapshot path.
     ///
     /// Called only at iteration boundaries, where `run_once` has drained
-    /// the queue and cancelled any pending tick or fault-arming event —
-    /// so the state reduces to accumulated counters and records, and the
-    /// armed-fault invariant (`fault_event == None`) holds.
+    /// the queue and cancelled any armed fault event — so the state
+    /// reduces to accumulated counters and records, and the armed-fault
+    /// invariant (`fault_event == None`) holds.
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
         // Compact the raw interval list into its union in place: the
         // report's `union_length` is invariant under this (union is
@@ -952,7 +783,7 @@ impl<'a> Executor<'a> {
             });
             if self.observing {
                 let now = self.queue.now();
-                if let Some(r) = self.obs.recorder.as_mut() {
+                if let Some(r) = self.recorder.as_mut() {
                     r.instant(
                         now,
                         "executor",
@@ -962,14 +793,19 @@ impl<'a> Executor<'a> {
                 }
             }
             // The boundary is quiescent here: the queue is drained and
-            // tick/fault events were cancelled, so a snapshot reduces to
+            // any armed fault was cancelled, so a snapshot reduces to
             // accumulated counters and records.
             let snapshot_due = self
                 .ckpt
                 .as_ref()
                 .is_some_and(|ck| (self.current_iter + 1).is_multiple_of(ck.every));
             if snapshot_due {
+                let t0 = self.profiling.then(Instant::now);
                 self.write_checkpoint()?;
+                if let (Some(t0), Some(p)) = (t0, self.selfprof.as_deref_mut()) {
+                    let s = t0.elapsed().as_secs_f64();
+                    p.add_path(&["engine_loop", "checkpoint_write"], s, 1);
+                }
             }
             if self.replay.is_some() && self.replay_boundary(iterations - iter - 1)? {
                 break;
@@ -1000,7 +836,7 @@ impl<'a> Executor<'a> {
     fn arm_replay(&mut self, iterations: usize) {
         let eligible = iterations >= 3
             && self.faults.is_none()
-            && !self.ticking
+            && self.ticker.is_none()
             && self.ckpt.is_none()
             && !self.resumed
             && self.network.iteration_invariant();
@@ -1250,7 +1086,7 @@ impl<'a> Executor<'a> {
     /// `bottleneck` is `None` only on error paths (no report exists).
     fn finish_observability(&mut self, total: TimeSpan, bottleneck: Option<&BottleneckReport>) {
         let stats = *self.queue.stats();
-        if let Some(p) = self.obs.progress.as_mut() {
+        if let Some(p) = self.progress.as_mut() {
             p.report_done(self.queue.now(), stats.delivered());
         }
         if !self.observing {
@@ -1262,11 +1098,12 @@ impl<'a> Executor<'a> {
         let total_s = total.as_seconds();
         let gpu_busy: Vec<f64> = self.gpus.iter().map(|g| g.busy_time.as_seconds()).collect();
         let dispatches = self.dispatches;
+        let ticks = self.ticker.as_ref().map_or(0, Ticker::ticks);
         let fault_stats = self
             .faults
             .as_ref()
             .map(|fr| (fr.injected_by_kind, fr.lost_compute.clone()));
-        let Some(r) = self.obs.recorder.as_mut() else {
+        let Some(r) = self.recorder.as_mut() else {
             return;
         };
         r.counter_add(
@@ -1295,11 +1132,15 @@ impl<'a> Executor<'a> {
             &[],
             stats.max_pending() as f64,
         );
-        for (kind, count) in [("compute", 0usize), ("flow", 1), ("tick", 2)] {
+        for (kind, count) in [
+            ("compute", dispatches[0]),
+            ("flow", dispatches[1]),
+            ("tick", ticks),
+        ] {
             r.counter_add(
                 "triosim_events_dispatched_total",
                 &[("kind", kind)],
-                dispatches[count] as f64,
+                count as f64,
             );
         }
         // Fault metrics exist only on fault-injected runs, so observed
@@ -1448,27 +1289,30 @@ impl<'a> Executor<'a> {
             self.activate(t);
         }
 
-        // Arm the first monitor tick only if real work is pending.
-        if self.ticking && self.pending_real > 0 && self.tick_event.is_none() {
-            let at = self
-                .ticker
-                .as_mut()
-                .expect("ticking implies a ticker")
-                .first_tick(self.queue.now());
-            self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
-        }
-        // Likewise the next pending fault: armed only while real work
-        // remains, so it can never extend the run.
+        // The sampling grid restarts with each iteration.
+        self.next_sample = self.ticker.as_ref().map(|t| self.queue.now() + t.period());
+        // The next pending fault is armed only while real work remains,
+        // so it can never extend the run.
         if self.pending_real > 0 {
             self.arm_next_fault();
         }
 
-        while let Some((now, event)) = self.queue.pop() {
+        loop {
+            if self.ticker.is_some() {
+                // Peeking then popping leaves the queue exactly as a
+                // bare pop does, so sampling moves no queue counter.
+                let Some(next) = self.queue.peek_time() else {
+                    break;
+                };
+                self.sample_until(next);
+            }
+            let Some((now, event)) = self.queue.pop() else {
+                break;
+            };
             // Runaway guard: real events are counted and checked before
             // they are processed, so with `max_events = N` exactly N
-            // events take effect. Ticks and fault injections are
-            // excluded so budget trips are independent of observability
-            // settings and fault-plan shape.
+            // events take effect. Fault injections are excluded so
+            // budget trips are independent of the fault plan's shape.
             if let Some(b) = &self.budget {
                 if matches!(
                     event,
@@ -1539,17 +1383,6 @@ impl<'a> Executor<'a> {
                     self.apply(cmds);
                     self.complete(task);
                 }
-                Event::MonitorTick => {
-                    self.tick_event = None;
-                    self.dispatches[2] += 1;
-                    self.sample(now);
-                    if self.pending_real > 0 {
-                        if let Some(at) = self.ticker.as_mut().and_then(|t| t.next_tick(now)) {
-                            self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
-                        }
-                    }
-                    continue;
-                }
                 Event::Fault { idx } => {
                     self.dispatches[3] += 1;
                     if let Some(fr) = self.faults.as_mut() {
@@ -1568,14 +1401,10 @@ impl<'a> Executor<'a> {
             if self.stop_error.is_some() {
                 return;
             }
-            // A tick never outlives the real work: cancel the pending one
-            // as soon as the queue holds nothing else, so the trailing
-            // tick cannot inflate `queue.now()` past the last real event.
-            // The same goes for an armed fault.
+            // An armed fault never outlives the real work: cancel it as
+            // soon as the queue holds nothing else, so it cannot inflate
+            // `queue.now()` past the last real event.
             if self.pending_real == 0 {
-                if let Some(id) = self.tick_event.take() {
-                    self.queue.cancel(id);
-                }
                 if let Some(id) = self.faults.as_mut().and_then(|fr| fr.fault_event.take()) {
                     self.queue.cancel(id);
                 }
@@ -1638,7 +1467,7 @@ impl<'a> Executor<'a> {
                     .as_mut()
                     .and_then(|fr| fr.outage_since.remove(&(src.min(dst), src.max(dst))));
                 if self.observing {
-                    if let (Some(start), Some(r)) = (down_at, self.obs.recorder.as_mut()) {
+                    if let (Some(start), Some(r)) = (down_at, self.recorder.as_mut()) {
                         r.span(
                             "faults",
                             &format!("outage n{src}<->n{dst}"),
@@ -1667,7 +1496,7 @@ impl<'a> Executor<'a> {
                 | FaultKind::LinkRepair { src, dst } => (src as u64, dst as u64),
                 FaultKind::GpuDrop { gpu } => (gpu as u64, gpu as u64),
             };
-            if let Some(r) = self.obs.recorder.as_mut() {
+            if let Some(r) = self.recorder.as_mut() {
                 r.instant(
                     now,
                     "faults",
@@ -1700,7 +1529,7 @@ impl<'a> Executor<'a> {
     fn record_compute(&mut self, gpu: usize, task: TaskId, start: VirtualTime, now: VirtualTime) {
         let graph = self.graph;
         let t = &graph.tasks()[task.0];
-        let Some(r) = self.obs.recorder.as_mut() else {
+        let Some(r) = self.recorder.as_mut() else {
             return;
         };
         let track = format!("gpu{gpu}");
@@ -1728,7 +1557,7 @@ impl<'a> Executor<'a> {
         let TaskKind::Transfer { bytes, .. } = t.kind else {
             return;
         };
-        let Some(r) = self.obs.recorder.as_mut() else {
+        let Some(r) = self.recorder.as_mut() else {
             return;
         };
         r.span(
@@ -1746,7 +1575,17 @@ impl<'a> Executor<'a> {
         r.counter_add("triosim_tasks_executed_total", &[("kind", "transfer")], 1.0);
     }
 
-    /// One monitor-tick sample: queue depth, in-flight flows, per-link
+    /// Takes every sample due at or before `until`, the time of the next
+    /// event. State is constant between events, so each sample sees what
+    /// it would at its own instant.
+    fn sample_until(&mut self, until: VirtualTime) {
+        while let Some(at) = self.next_sample.filter(|&at| at <= until) {
+            self.sample(at);
+            self.next_sample = self.ticker.as_mut().and_then(|t| t.next_tick(at));
+        }
+    }
+
+    /// One monitor sample: queue depth, in-flight flows, per-link
     /// utilization over the window since the previous sample, and the
     /// live progress line.
     fn sample(&mut self, now: VirtualTime) {
@@ -1755,7 +1594,7 @@ impl<'a> Executor<'a> {
             let depth = self.queue.len() as f64;
             let links = self.network.observe_links();
             let dt = (now - self.prev_sample_at).as_seconds();
-            if let Some(r) = self.obs.recorder.as_mut() {
+            if let Some(r) = self.recorder.as_mut() {
                 r.gauge_set(now, "triosim_queue_depth", &[], depth);
                 r.gauge_set(
                     now,
@@ -1776,7 +1615,7 @@ impl<'a> Executor<'a> {
             }
             self.prev_sample_at = now;
         }
-        if let Some(p) = self.obs.progress.as_mut() {
+        if let Some(p) = self.progress.as_mut() {
             p.sample(now, self.queue.stats().delivered(), net.in_flight);
         }
     }
@@ -1810,7 +1649,7 @@ impl<'a> Executor<'a> {
     fn record_completion(&mut self, task: TaskId) {
         let graph = self.graph;
         if matches!(graph.tasks()[task.0].kind, TaskKind::Barrier) {
-            if let Some(r) = self.obs.recorder.as_mut() {
+            if let Some(r) = self.recorder.as_mut() {
                 r.counter_add("triosim_tasks_executed_total", &[("kind", "barrier")], 1.0);
             }
         }
@@ -1820,7 +1659,7 @@ impl<'a> Executor<'a> {
         let meta = &graph.collectives()[ci];
         let now = self.queue.now();
         let begin = self.collective_begin[ci].take().unwrap_or(now);
-        let Some(r) = self.obs.recorder.as_mut() else {
+        let Some(r) = self.recorder.as_mut() else {
             return;
         };
         r.span(
@@ -2166,34 +2005,59 @@ mod tests {
         g
     }
 
-    fn jsonl_obs(buf: &SharedBuf) -> Observability {
+    /// Options for an `iterations`-long run recording JSONL into `buf`,
+    /// sampled every millisecond.
+    fn observed(buf: &SharedBuf, iterations: usize) -> RunOptions<'static> {
         let mut rec = RunRecorder::new();
         rec.push(Box::new(JsonlSink::new(buf.clone())));
-        Observability::off()
-            .with_recorder(Box::new(rec))
-            .with_sample_period(TimeSpan::from_millis(1.0))
+        RunOptions {
+            iterations,
+            recorder: Some(Box::new(rec)),
+            ..RunOptions::default()
+        }
+    }
+
+    fn faulted(plan: &FaultPlan, iterations: usize) -> RunOptions<'static> {
+        RunOptions {
+            iterations,
+            faults: plan.clone(),
+            ..RunOptions::default()
+        }
+    }
+
+    fn progress(buf: &SharedBuf) -> Option<ProgressMonitor> {
+        Some(
+            ProgressMonitor::with_writer(Box::new(buf.clone())).throttle(std::time::Duration::ZERO),
+        )
     }
 
     #[test]
     fn monitor_ticks_never_change_simulation_results() {
         let g = overlap_graph();
-        let plain = execute_iterations(&g, &mut net2(), 3);
+        let plain = execute_iterations(&g, &mut net2(), 3).to_canonical_string();
         let buf = SharedBuf::default();
-        let observed = execute_observed(&g, &mut net2(), 3, jsonl_obs(&buf));
-        assert_eq!(plain.total_time(), observed.total_time());
-        assert_eq!(plain.bytes_transferred(), observed.bytes_transferred());
-        assert_eq!(plain.compute_time_s(), observed.compute_time_s());
-        assert_eq!(plain.timeline().len(), observed.timeline().len());
-        // The ticks really fired: gauges were sampled along the way.
+        let observed = run(&g, &mut net2(), observed(&buf, 3)).unwrap();
+        assert_eq!(plain, observed.to_canonical_string());
+        // The samples really were taken: gauges along the way.
         let out = buf.take_string();
         assert!(out.contains("triosim_queue_depth"), "{out}");
+        // Progress alone samples too, and is just as invisible.
+        let lines = SharedBuf::default();
+        let with_progress = RunOptions {
+            iterations: 3,
+            progress: progress(&lines),
+            ..RunOptions::default()
+        };
+        let reported = run(&g, &mut net2(), with_progress).unwrap();
+        assert_eq!(plain, reported.to_canonical_string());
+        assert!(lines.take_string().contains("progress: done"));
     }
 
     #[test]
     fn observed_run_emits_spans_and_end_of_run_metrics() {
         let g = overlap_graph();
         let buf = SharedBuf::default();
-        execute_observed(&g, &mut net2(), 1, jsonl_obs(&buf));
+        run(&g, &mut net2(), observed(&buf, 1)).unwrap();
         let out = buf.take_string();
         assert!(out.contains("\"track\":\"gpu0\""), "compute span: {out}");
         assert!(out.contains("\"track\":\"network\""), "flow span: {out}");
@@ -2207,7 +2071,7 @@ mod tests {
         let run = || {
             let g = overlap_graph();
             let buf = SharedBuf::default();
-            execute_observed(&g, &mut net2(), 2, jsonl_obs(&buf));
+            run(&g, &mut net2(), observed(&buf, 2)).unwrap();
             buf.take_string()
         };
         let a = run();
@@ -2232,7 +2096,7 @@ mod tests {
             last: done,
         });
         let buf = SharedBuf::default();
-        execute_observed(&g, &mut net2(), 1, jsonl_obs(&buf));
+        run(&g, &mut net2(), observed(&buf, 1)).unwrap();
         let out = buf.take_string();
         assert!(out.contains("\"track\":\"collectives\""), "{out}");
         assert!(out.contains("\"algorithm\":\"allreduce\""), "{out}");
@@ -2245,14 +2109,8 @@ mod tests {
     fn empty_plan_is_bit_identical_to_plain_run() {
         let g = overlap_graph();
         let plain = execute_iterations(&g, &mut net2(), 3);
-        let faulted = execute_faulted(
-            &g,
-            &mut net2(),
-            3,
-            Observability::off(),
-            &triosim_faults::FaultPlan::default(),
-        )
-        .expect("empty plan cannot fail");
+        let faulted = run(&g, &mut net2(), faulted(&FaultPlan::default(), 3))
+            .expect("empty plan cannot fail");
         assert_eq!(plain.total_time(), faulted.total_time());
         assert_eq!(plain.bytes_transferred(), faulted.bytes_transferred());
         assert_eq!(plain.timeline(), faulted.timeline());
@@ -2264,14 +2122,14 @@ mod tests {
         let mut g = TaskGraph::new(2);
         g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         g.compute("b", 1, TimeSpan::from_millis(1.0), vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             gpu_slowdowns: vec![triosim_faults::GpuSlowdown {
                 gpu: 1,
                 factor: 3.0,
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap();
+        let r = run(&g, &mut net2(), faulted(&plan, 1)).unwrap();
         assert!(
             (r.total_time_s() - 0.003).abs() < 1e-9,
             "{}",
@@ -2292,7 +2150,7 @@ mod tests {
         let mut net = FlowNetwork::new(t);
         let mut g = TaskGraph::new(1);
         g.transfer("mv", NodeId(0), NodeId(2), 100_000_000, vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             link_failures: vec![triosim_faults::LinkFailure {
                 src: 1,
                 dst: 2,
@@ -2301,7 +2159,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let err = execute_faulted(&g, &mut net, 1, Observability::off(), &plan).unwrap_err();
+        let err = run(&g, &mut net, faulted(&plan, 1)).unwrap_err();
         assert_eq!(
             err,
             crate::error::SimError::Partitioned {
@@ -2317,7 +2175,7 @@ mod tests {
         let mut net = FlowNetwork::new(Topology::ring(4, 1e9, 0.0));
         let mut g = TaskGraph::new(1);
         g.transfer("mv", NodeId(0), NodeId(1), 10_000_000, vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             link_failures: vec![triosim_faults::LinkFailure {
                 src: 0,
                 dst: 1,
@@ -2326,7 +2184,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net, 1, Observability::off(), &plan).unwrap();
+        let r = run(&g, &mut net, faulted(&plan, 1)).unwrap();
         assert_eq!(r.network_stats().reroutes, 1);
         assert_eq!(r.network_stats().added_hops, 2, "1 hop -> 3 hops");
         // A lone flow keeps its 1 GB/s bottleneck on the detour (zero
@@ -2344,14 +2202,14 @@ mod tests {
         let mut g = TaskGraph::new(2);
         g.compute("a", 0, TimeSpan::from_millis(5.0), vec![]);
         g.compute("b", 1, TimeSpan::from_millis(5.0), vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             gpu_dropouts: vec![triosim_faults::GpuDropout {
                 gpu: 1,
                 at_s: 0.001,
             }],
             ..Default::default()
         };
-        let err = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap_err();
+        let err = run(&g, &mut net2(), faulted(&plan, 1)).unwrap_err();
         assert!(matches!(
             err,
             crate::error::SimError::GpuLost { gpu: 1, .. }
@@ -2365,7 +2223,7 @@ mod tests {
             for i in 0..8 {
                 g.compute(format!("op{i}"), i % 2, TimeSpan::from_millis(1.0), vec![]);
             }
-            let plan = triosim_faults::FaultPlan {
+            let plan = FaultPlan {
                 seed: 42,
                 jitter: Some(triosim_faults::Jitter { amplitude: 0.5 }),
                 gpu_slowdowns: vec![triosim_faults::GpuSlowdown {
@@ -2374,7 +2232,7 @@ mod tests {
                 }],
                 ..Default::default()
             };
-            let r = execute_faulted(&g, &mut net2(), 3, Observability::off(), &plan).unwrap();
+            let r = run(&g, &mut net2(), faulted(&plan, 3)).unwrap();
             (r.total_time(), r.fault_stats().cloned())
         };
         assert_eq!(run(), run());
@@ -2384,7 +2242,7 @@ mod tests {
     fn fault_past_end_of_run_never_extends_it() {
         let mut g = TaskGraph::new(1);
         g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             link_failures: vec![triosim_faults::LinkFailure {
                 src: 0,
                 dst: 1,
@@ -2393,7 +2251,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap();
+        let r = run(&g, &mut net2(), faulted(&plan, 1)).unwrap();
         assert!((r.total_time_s() - 0.001).abs() < 1e-12);
         assert_eq!(r.fault_stats().unwrap().faults_injected, 0, "never fired");
     }
@@ -2403,7 +2261,7 @@ mod tests {
         let mut net = FlowNetwork::new(Topology::ring(4, 1e9, 0.0));
         let mut g = TaskGraph::new(1);
         g.transfer("mv", NodeId(0), NodeId(1), 20_000_000, vec![]);
-        let plan = triosim_faults::FaultPlan {
+        let plan = FaultPlan {
             link_failures: vec![triosim_faults::LinkFailure {
                 src: 0,
                 dst: 1,
@@ -2413,7 +2271,11 @@ mod tests {
             ..Default::default()
         };
         let buf = SharedBuf::default();
-        let r = execute_faulted(&g, &mut net, 1, jsonl_obs(&buf), &plan).unwrap();
+        let opts = RunOptions {
+            faults: plan,
+            ..observed(&buf, 1)
+        };
+        let r = run(&g, &mut net, opts).unwrap();
         let out = buf.take_string();
         assert!(out.contains("link_fail"), "{out}");
         assert!(out.contains("triosim_faults_injected_total"), "{out}");
@@ -2428,10 +2290,11 @@ mod tests {
     fn progress_monitor_reports_through_executor() {
         let g = overlap_graph();
         let buf = SharedBuf::default();
-        let monitor = triosim_obs::ProgressMonitor::with_writer(Box::new(buf.clone()))
-            .throttle(std::time::Duration::ZERO);
-        let obs = Observability::off().with_progress(monitor);
-        execute_observed(&g, &mut net2(), 1, obs);
+        let opts = RunOptions {
+            progress: progress(&buf),
+            ..RunOptions::default()
+        };
+        run(&g, &mut net2(), opts).unwrap();
         let out = buf.take_string();
         assert!(out.contains("progress: done"), "{out}");
     }

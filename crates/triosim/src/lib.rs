@@ -71,10 +71,7 @@ mod viz;
 pub use checkpoint::{remove_stale_staging, validate_snapshot_file, CheckpointError};
 pub use compute::{ComputeModel, Fidelity};
 pub use error::SimError;
-pub use executor::{
-    execute, execute_budgeted, execute_budgeted_profiled, execute_faulted, execute_iterations,
-    execute_observed, Observability,
-};
+pub use executor::{execute, execute_iterations};
 pub use extrapolate::{extrapolate, extrapolate_with_style};
 pub use hop::{HopConfig, HopGraph, HopReport, HopSimulator};
 pub use layers::{summarize_layers, LayerSummary};

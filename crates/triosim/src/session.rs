@@ -10,13 +10,10 @@ use triosim_obs::{ProgressMonitor, Recorder, SelfProfiler};
 use triosim_perfmodel::LisModel;
 use triosim_trace::{GpuModel, Trace};
 
-use crate::checkpoint::{self, CheckpointConfig, CheckpointError};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointError, SimSnapshot};
 use crate::compute::{ComputeModel, Fidelity};
 use crate::error::SimError;
-use crate::executor::{
-    execute_budgeted, execute_budgeted_profiled, execute_faulted, execute_iterations,
-    execute_observed, execute_restored, execute_with_checkpoints, Observability,
-};
+use crate::executor::{run, RunOptions};
 use crate::extrapolate::extrapolate_with_style;
 use crate::parallelism::{CollectiveStyle, Parallelism};
 use crate::platform::Platform;
@@ -63,7 +60,9 @@ pub struct SimBuilder<'a> {
     network: Option<Box<dyn NetworkModel>>,
     collective_style: CollectiveStyle,
     iterations: usize,
-    observability: Observability,
+    recorder: Option<Box<dyn Recorder>>,
+    progress: Option<ProgressMonitor>,
+    sample_period: TimeSpan,
     faults: Option<FaultPlan>,
     fault_seed: Option<u64>,
     budget: Option<RunBudget>,
@@ -84,7 +83,9 @@ impl<'a> SimBuilder<'a> {
             network: None,
             collective_style: CollectiveStyle::default(),
             iterations: 1,
-            observability: Observability::off(),
+            recorder: None,
+            progress: None,
+            sample_period: RunOptions::default().sample_period,
             faults: None,
             fault_seed: None,
             budget: None,
@@ -156,13 +157,13 @@ impl<'a> SimBuilder<'a> {
     /// Chrome-trace, and Prometheus sinks). The run emits spans and
     /// metrics into it and calls `finish` when done.
     pub fn recorder(mut self, r: Box<dyn Recorder>) -> Self {
-        self.observability.recorder = Some(r);
+        self.recorder = Some(r);
         self
     }
 
     /// Attaches a live progress monitor (wall-clock throttled, stderr).
     pub fn progress(mut self, p: ProgressMonitor) -> Self {
-        self.observability.progress = Some(p);
+        self.progress = Some(p);
         self
     }
 
@@ -172,7 +173,8 @@ impl<'a> SimBuilder<'a> {
     ///
     /// Panics if `period` is zero.
     pub fn sample_period(mut self, period: TimeSpan) -> Self {
-        self.observability = std::mem::take(&mut self.observability).with_sample_period(period);
+        assert!(period > TimeSpan::ZERO, "sample period must be positive");
+        self.sample_period = period;
         self
     }
 
@@ -209,8 +211,12 @@ impl<'a> SimBuilder<'a> {
     /// run restores with [`restore`](Self::restore) and produces
     /// canonical bytes identical to an uninterrupted run.
     ///
-    /// Checkpointed runs execute serially; observability and
-    /// self-profiling are disabled with a warning.
+    /// Checkpointed runs simulate every iteration (no steady-state
+    /// replay). Recorders, progress and the self-profiler compose with
+    /// checkpointing and leave the snapshots' bytes unchanged. A network
+    /// that cannot snapshot its state (the packet and photonic tiers)
+    /// makes [`try_run`](Self::try_run) fail with
+    /// [`CheckpointError::Unsupported`] before anything is simulated.
     ///
     /// # Panics
     ///
@@ -224,8 +230,9 @@ impl<'a> SimBuilder<'a> {
     /// Resumes from a snapshot written by [`checkpoint`](Self::checkpoint).
     /// The snapshot's spec hash must match this builder's scenario
     /// (trace, platform, parallelism, network, fault plan, deterministic
-    /// budget axes) — iteration count and wall-clock timeout may differ. Composes with `checkpoint` to keep
-    /// checkpointing the resumed run.
+    /// budget axes) — iteration count and wall-clock timeout may differ.
+    /// Composes with `checkpoint` to keep checkpointing the resumed run,
+    /// and with recorders, progress and the self-profiler.
     pub fn restore(mut self, path: impl Into<PathBuf>) -> Self {
         self.restore = Some(path.into());
         self
@@ -336,150 +343,99 @@ impl<'a> SimBuilder<'a> {
     /// out-of-domain values); [`SimError::Partitioned`] /
     /// [`SimError::GpuLost`] when an injected fault makes the remaining
     /// work impossible; [`SimError::BudgetExceeded`] when the run blows
-    /// an axis of its [`budget`](Self::budget).
+    /// an axis of its [`budget`](Self::budget); [`SimError::Checkpoint`]
+    /// when a snapshot cannot be written or restored.
     pub fn try_run(self) -> Result<SimReport, SimError> {
-        self.try_run_inner(None)
+        self.try_run_profiled(&mut SelfProfiler::disabled())
     }
 
     /// [`try_run`](Self::try_run) with host self-profiling: wall-clock
     /// spans for Li's-Model calibration (`calibration`), graph
     /// extrapolation (`graph_build`), network construction
     /// (`network_build`), and the engine loop with its network share
-    /// (`engine_loop`/`network`) accumulate into `prof`.
+    /// (`engine_loop`/`network`) and snapshot writes
+    /// (`engine_loop`/`checkpoint_write`) accumulate into `prof`.
     ///
     /// Profiling is strictly diagnostic: the returned report — including
-    /// its canonical bytes — is byte-identical to an unprofiled run.
+    /// its canonical bytes — is byte-identical to an unprofiled run. A
+    /// [disabled](SelfProfiler::disabled) profiler reads no clock.
     ///
     /// # Errors
     ///
     /// Same as [`try_run`](Self::try_run).
-    pub fn try_run_profiled(self, prof: &mut SelfProfiler) -> Result<SimReport, SimError> {
-        self.try_run_inner(Some(prof))
+    pub fn try_run_profiled(mut self, prof: &mut SelfProfiler) -> Result<SimReport, SimError> {
+        let mut faults = self.faults.take().unwrap_or_default();
+        if let Some(seed) = self.fault_seed {
+            faults = faults.with_seed(seed);
+        }
+        if !faults.is_empty() {
+            self.validate_plan(&faults)?;
+        }
+        let compute = prof.time("calibration", || self.resolved_compute());
+        let graph = prof.time("graph_build", || self.build_graph_with(&compute));
+        let mut network = prof.time("network_build", || self.resolved_network());
+        let budget = self.budget.take().unwrap_or_else(RunBudget::unlimited);
+        let (checkpoint, restore) = self.snapshots(&graph, network.as_ref(), &faults, &budget)?;
+        let opts = RunOptions {
+            iterations: self.iterations,
+            faults,
+            budget,
+            recorder: self.recorder.take(),
+            progress: self.progress.take(),
+            sample_period: self.sample_period,
+            profiler: Some(prof),
+            checkpoint,
+            restore,
+        };
+        run(&graph, network.as_mut(), opts)
     }
 
-    fn try_run_inner(mut self, mut prof: Option<&mut SelfProfiler>) -> Result<SimReport, SimError> {
-        let mut plan = self.faults.take().unwrap_or_default();
-        if let Some(seed) = self.fault_seed {
-            plan = plan.with_seed(seed);
+    /// Resolves the requested checkpoint and restore against the built
+    /// scenario: both need a network that can snapshot its state, and a
+    /// snapshot to restore must carry this scenario's spec hash and no
+    /// more completed iterations than the run requests.
+    fn snapshots(
+        &mut self,
+        graph: &TaskGraph,
+        network: &dyn NetworkModel,
+        faults: &FaultPlan,
+        budget: &RunBudget,
+    ) -> Result<(Option<CheckpointConfig>, Option<SimSnapshot>), SimError> {
+        if self.checkpoint.is_none() && self.restore.is_none() {
+            return Ok((None, None));
         }
-        if !plan.is_empty() {
-            self.validate_plan(&plan)?;
+        if network.checkpoint_state().is_none() {
+            return Err(SimError::Checkpoint(CheckpointError::Unsupported(
+                "the network model does not expose snapshots".to_string(),
+            )));
         }
-        let graph = match prof.as_deref_mut() {
-            None => self.build_graph(),
-            Some(p) => {
-                let compute = p.time("calibration", || self.resolved_compute());
-                p.time("graph_build", || self.build_graph_with(&compute))
-            }
+        let hash = checkpoint::spec_hash(graph, network, faults, budget);
+        let checkpoint = self
+            .checkpoint
+            .take()
+            .map(|(path, every)| CheckpointConfig {
+                path,
+                every,
+                spec_hash: hash,
+            });
+        let Some(path) = self.restore.take() else {
+            return Ok((checkpoint, None));
         };
-        let mut network = match prof.as_deref_mut() {
-            None => self.resolved_network(),
-            Some(p) => p.time("network_build", || self.resolved_network()),
-        };
-        let obs = std::mem::take(&mut self.observability);
-        if self.checkpoint.is_some() || self.restore.is_some() {
-            if prof.is_some() {
-                eprintln!("warning: self-profiling is disabled under checkpoint/restore");
-            }
-            if obs.is_active() {
-                eprintln!(
-                    "warning: observability recorders and progress are disabled under \
-                     checkpoint/restore"
-                );
-            }
-            let budget = self.budget.take().unwrap_or_else(RunBudget::unlimited);
-            let hash = checkpoint::spec_hash(&graph, network.as_ref(), &plan, &budget);
-            let ck = self
-                .checkpoint
-                .take()
-                .map(|(path, every)| CheckpointConfig {
-                    path,
-                    every,
-                    spec_hash: hash,
-                });
-            if let Some(path) = self.restore.take() {
-                let snap = checkpoint::read_snapshot(&path).map_err(SimError::Checkpoint)?;
-                let found = snap.parsed_spec_hash().map_err(SimError::Checkpoint)?;
-                if found != hash {
-                    return Err(SimError::Checkpoint(CheckpointError::SpecMismatch {
-                        expected: hash,
-                        found,
-                    }));
-                }
-                let completed = snap.completed as usize;
-                if completed > self.iterations {
-                    return Err(SimError::Checkpoint(CheckpointError::Corrupt(format!(
-                        "snapshot completed {completed} iterations but the run requests only {}",
-                        self.iterations
-                    ))));
-                }
-                network
-                    .restore_state(&snap.state.net)
-                    .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
-                return execute_restored(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                    &plan,
-                    budget,
-                    completed,
-                    &snap.state,
-                    ck,
-                );
-            }
-            let ck = ck.expect("checkpointing implies a checkpoint path");
-            return execute_with_checkpoints(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                &plan,
-                budget,
-                ck,
-            );
+        let snap = checkpoint::read_snapshot(&path).map_err(SimError::Checkpoint)?;
+        let found = snap.parsed_spec_hash().map_err(SimError::Checkpoint)?;
+        if found != hash {
+            return Err(SimError::Checkpoint(CheckpointError::SpecMismatch {
+                expected: hash,
+                found,
+            }));
         }
-        if let Some(p) = prof {
-            // One entry point covers every configuration; unlimited
-            // budgets and empty plans are dropped inside the executor,
-            // so the simulated behavior (and the report's canonical
-            // bytes) exactly matches the unprofiled dispatch below.
-            return execute_budgeted_profiled(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                obs,
-                &plan,
-                self.budget.take().unwrap_or_else(RunBudget::unlimited),
-                Some(p),
-            );
+        if snap.completed > self.iterations as u64 {
+            return Err(SimError::Checkpoint(CheckpointError::Corrupt(format!(
+                "snapshot completed {} iterations but the run requests only {}",
+                snap.completed, self.iterations
+            ))));
         }
-        if let Some(budget) = self.budget.take() {
-            return execute_budgeted(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                obs,
-                &plan,
-                budget,
-            );
-        }
-        if plan.is_empty() {
-            if obs.is_active() {
-                Ok(execute_observed(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                    obs,
-                ))
-            } else {
-                Ok(execute_iterations(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                ))
-            }
-        } else {
-            execute_faulted(&graph, network.as_mut(), self.iterations, obs, &plan)
-        }
+        Ok((checkpoint, Some(snap)))
     }
 
     /// Extrapolates and executes the simulation.

@@ -397,9 +397,9 @@ fn resolve_scenarios(
 
 /// Runs one resolved scenario in full isolation: fresh network state,
 /// fresh DES engine, nothing shared but the read-only trace and compute
-/// model. An enabled `prof` routes through the profiled session path
-/// (graph build / network build / engine loop spans); profiling never
-/// changes the canonical report bytes.
+/// model. An enabled `prof` collects the session's spans (graph build /
+/// network build / engine loop); profiling never changes the canonical
+/// report bytes.
 fn run_scenario(
     r: &ResolvedScenario,
     prof: &mut SelfProfiler,
@@ -410,14 +410,11 @@ fn run_scenario(
         .as_ref()
         .expect("only pending scenarios are executed");
     let s = &r.scenario;
-    // Reconstructible builder: a stale per-scenario snapshot must not
-    // fail the scenario, so the rerun-from-scratch path rebuilds the
-    // whole configuration (network state included) from the same inputs.
-    let mk = || {
+    let network = || -> Box<dyn NetworkModel> {
         let topo = e.platform.topology().clone();
         // The reallocation-mode knob only exists on the flow tiers; the
         // packet tier re-simulates its busy period instead.
-        let network: Box<dyn NetworkModel> = match e.fidelity {
+        match e.fidelity {
             Fidelity::TrioSim => {
                 let mut n = FlowNetwork::new(topo);
                 n.set_reallocation_mode(e.realloc);
@@ -429,14 +426,19 @@ fn run_scenario(
                 Box::new(n)
             }
             Fidelity::Packet => Box::new(PacketNetwork::new(topo)),
-        };
+        }
+    };
+    // Reconstructible builder: a stale per-scenario snapshot must not
+    // fail the scenario, so the rerun-from-scratch path rebuilds the
+    // whole configuration (network state included) from the same inputs.
+    let mk = || {
         let mut builder = SimBuilder::new(&e.trace, &e.platform)
             .parallelism(e.parallelism)
             .fidelity(e.fidelity)
             .compute_model(e.compute.clone())
             .collective_style(e.collective)
             .iterations(e.iterations)
-            .network(network);
+            .network(network());
         if let Some(batch) = e.global_batch {
             builder = builder.global_batch(batch);
         }
@@ -463,8 +465,12 @@ fn run_scenario(
         }
         builder
     };
-    let ckpt_path =
-        ckpt.map(|(dir, every, index)| (dir.join(format!("scenario-{index}.ckpt")), every));
+    // Only networks that can snapshot their state get a per-scenario
+    // snapshot; the others rerun from scratch on resume, like any
+    // scenario that had not reached a boundary.
+    let ckpt_path = ckpt
+        .filter(|_| network().checkpoint_state().is_some())
+        .map(|(dir, every, index)| (dir.join(format!("scenario-{index}.ckpt")), every));
     let mut builder = mk();
     let mut resuming = false;
     if let Some((path, every)) = &ckpt_path {
@@ -474,11 +480,7 @@ fn run_scenario(
             builder = builder.restore(path);
         }
     }
-    let mut run = if prof.is_enabled() {
-        builder.try_run_profiled(prof)
-    } else {
-        builder.try_run()
-    };
+    let mut run = builder.try_run_profiled(prof);
     if resuming {
         if let Err(SimError::Checkpoint(ce)) = &run {
             // A stale or corrupt snapshot (e.g. the spec changed between
@@ -492,12 +494,7 @@ fn run_scenario(
                 path.display()
             );
             std::fs::remove_file(path).ok();
-            let fresh = mk().checkpoint(path, *every);
-            run = if prof.is_enabled() {
-                fresh.try_run_profiled(prof)
-            } else {
-                fresh.try_run()
-            };
+            run = mk().checkpoint(path, *every).try_run_profiled(prof);
         }
     }
     if run.is_ok() {
@@ -925,6 +922,40 @@ mod tests {
         assert!(
             snapshot_files(&dir).is_empty(),
             "completed scenarios delete their snapshots"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Packet-tier networks cannot snapshot their state, so a sweep with
+    /// a checkpoint directory runs those scenarios without snapshots
+    /// instead of failing them.
+    #[test]
+    fn packet_scenarios_run_unsnapshotted_under_a_checkpoint_dir() {
+        let spec = SweepSpec::from_json(
+            r#"{
+                "name": "tiers",
+                "defaults": { "model": "vgg11", "trace_batch": 8, "gpu": "A40",
+                              "platform": "p2:2", "parallelism": "ddp",
+                              "iterations": 2 },
+                "grid": { "fidelity": ["triosim", "packet"] }
+            }"#,
+        )
+        .unwrap();
+        let plain = run_sweep(&spec, 1, false).unwrap();
+        assert_eq!(plain.failures(), 0);
+        let dir = temp_dir("tiers");
+        let checkpointed = run_sweep_with(
+            &spec,
+            &SweepRunConfig {
+                threads: 1,
+                checkpoint_dir: Some(dir.clone()),
+                ..SweepRunConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            plain.to_canonical_string(),
+            checkpointed.to_canonical_string()
         );
         std::fs::remove_dir_all(&dir).ok();
     }

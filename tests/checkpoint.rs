@@ -2,7 +2,10 @@
 //! boundary snapshot must produce canonical bytes identical to the
 //! uninterrupted run — fault-free, faulted, and budgeted alike — and
 //! every malformed or mismatched snapshot must surface as a typed
-//! [`CheckpointError`], never undefined behavior.
+//! [`CheckpointError`], never undefined behavior. Checkpointing and
+//! restore compose with recorders and the self-profiler without moving
+//! a report or snapshot byte, and a network that cannot snapshot is a
+//! typed error before anything is simulated.
 //!
 //! The "kill at boundary k" scenario is modeled exactly: a run of `k`
 //! iterations with cadence `k` leaves behind the same snapshot a longer
@@ -16,11 +19,12 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use serde::Deserialize as _;
 use triosim::{
-    CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation, Parallelism, Platform,
-    SimBuilder, SimError,
+    CheckpointError, FaultPlan, Fidelity, GpuSlowdown, Jitter, LinkDegradation, Parallelism,
+    Platform, SelfProfiler, SimBuilder, SimError,
 };
 use triosim_des::RunBudget;
 use triosim_modelzoo::ModelId;
+use triosim_obs::{JsonlSink, Recorder, RunRecorder};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 fn trace(model: ModelId, batch: u64) -> Trace {
@@ -365,6 +369,167 @@ fn checkpointed_cli_run_simulates_every_iteration() {
     assert!(!out.status.success(), "--shards must be rejected");
     std::fs::remove_file(&tmp).ok();
     std::fs::remove_file(&snap).ok();
+}
+
+/// A recorder writing JSONL events to `path`.
+fn jsonl_recorder(path: &std::path::Path) -> Box<dyn Recorder> {
+    let file = std::fs::File::create(path).expect("events file is writable");
+    let mut recorder = RunRecorder::new();
+    recorder.push(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
+    Box::new(recorder)
+}
+
+/// Checkpointing, a recorder and the profiler compose: the report is the
+/// plain run's, the snapshot is the unobserved checkpointed run's, both
+/// observers really observed, and each snapshot write is one
+/// `engine_loop/checkpoint_write` call.
+#[test]
+fn checkpoint_composes_with_recorder_and_profiler() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let plain = SimBuilder::new(&t, &p).iterations(4).run();
+    let bare_snap = temp_path("compose-bare");
+    SimBuilder::new(&t, &p)
+        .iterations(4)
+        .checkpoint(&bare_snap, 2)
+        .try_run()
+        .expect("checkpointed run completes");
+    let snap = temp_path("compose-observed");
+    let events = temp_path("compose-events");
+    let mut prof = SelfProfiler::new();
+    let observed = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .checkpoint(&snap, 2)
+        .recorder(jsonl_recorder(&events))
+        .try_run_profiled(&mut prof)
+        .expect("observed checkpointed run completes");
+    assert_eq!(plain.to_canonical_string(), observed.to_canonical_string());
+    assert_eq!(
+        std::fs::read(&bare_snap).expect("snapshot written"),
+        std::fs::read(&snap).expect("snapshot written"),
+        "observers changed the snapshot bytes"
+    );
+    let log = std::fs::read_to_string(&events).expect("events written");
+    assert!(log.contains("\"track\":\"gpu0\""), "recorder got spans");
+    let writes = prof
+        .snapshot()
+        .find(&["engine_loop", "checkpoint_write"])
+        .map(|node| node.calls);
+    assert_eq!(writes, Some(2), "boundaries 2 and 4");
+    for path in [&bare_snap, &snap, &events] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// A restored run with a recorder attached reproduces the plain run.
+#[test]
+fn restore_composes_with_recorder() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let plain = SimBuilder::new(&t, &p).iterations(4).run();
+    let snap = temp_path("restore-observed");
+    SimBuilder::new(&t, &p)
+        .iterations(2)
+        .checkpoint(&snap, 2)
+        .try_run()
+        .expect("prefix run completes");
+    let events = temp_path("restore-events");
+    let resumed = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .restore(&snap)
+        .recorder(jsonl_recorder(&events))
+        .try_run()
+        .expect("observed restore succeeds");
+    assert_eq!(plain.to_canonical_string(), resumed.to_canonical_string());
+    let log = std::fs::read_to_string(&events).expect("events written");
+    assert!(!log.is_empty(), "the restored run was observed");
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(&events).ok();
+}
+
+/// Networks that cannot snapshot their state fail before simulating.
+#[test]
+fn packet_tier_checkpoint_is_unsupported_before_the_engine_runs() {
+    let t = trace(ModelId::Vgg11, 8);
+    let p = Platform::p2(2);
+    let snap = temp_path("packet");
+    let mut prof = SelfProfiler::new();
+    let err = SimBuilder::new(&t, &p)
+        .fidelity(Fidelity::Packet)
+        .iterations(3)
+        .checkpoint(&snap, 1)
+        .try_run_profiled(&mut prof)
+        .expect_err("the packet tier cannot snapshot");
+    assert!(
+        matches!(err, SimError::Checkpoint(CheckpointError::Unsupported(_))),
+        "{err}"
+    );
+    assert!(
+        prof.snapshot().find(&["engine_loop"]).is_none(),
+        "nothing was simulated"
+    );
+    assert!(!snap.exists());
+    let err = SimBuilder::new(&t, &p)
+        .fidelity(Fidelity::Packet)
+        .restore(&snap)
+        .try_run()
+        .expect_err("nor restore one");
+    assert!(matches!(
+        err,
+        SimError::Checkpoint(CheckpointError::Unsupported(_))
+    ));
+}
+
+/// The CLI composes `--checkpoint`, `--events` and `--profile` without
+/// a warning, and the report is the plain run's.
+#[test]
+fn cli_checkpoint_composes_with_events_and_profile() {
+    let bin = env!("CARGO_BIN_EXE_triosim-cli");
+    let tmp = temp_path("cli-compose-trace").with_extension("json");
+    let out = std::process::Command::new(bin)
+        .args(["trace", "--model", "vgg11", "--batch", "8", "--gpu", "A100"])
+        .arg("-o")
+        .arg(&tmp)
+        .output()
+        .expect("trace subcommand runs");
+    assert!(out.status.success(), "trace failed: {out:?}");
+    let simulate = |report: &std::path::Path, extra: &[&std::ffi::OsStr]| {
+        let out = std::process::Command::new(bin)
+            .args(["simulate", "--iterations", "4", "--platform", "p2:2"])
+            .arg("--trace")
+            .arg(&tmp)
+            .arg("--report")
+            .arg(report)
+            .args(extra)
+            .output()
+            .expect("simulate subcommand runs");
+        assert!(out.status.success(), "simulate failed: {out:?}");
+        out
+    };
+    let (plain, composed) = (temp_path("cli-plain"), temp_path("cli-composed"));
+    let (snap, events) = (temp_path("cli-snap"), temp_path("cli-events"));
+    simulate(&plain, &[]);
+    let out = simulate(
+        &composed,
+        &[
+            "--checkpoint".as_ref(),
+            snap.as_os_str(),
+            "--events".as_ref(),
+            events.as_os_str(),
+            "--profile".as_ref(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("warning:"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("engine_loop"));
+    assert!(std::fs::metadata(&events).expect("events written").len() > 0);
+    assert_eq!(
+        std::fs::read(&plain).expect("report written"),
+        std::fs::read(&composed).expect("report written")
+    );
+    for path in [&tmp, &plain, &composed, &snap, &events] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 proptest! {

@@ -121,6 +121,80 @@ fn golden_quartet_is_replay_invariant() {
     }
 }
 
+/// Every run option composes exactly: for each quartet configuration
+/// at six iterations, a recorder, a progress monitor, the profiler,
+/// checkpointing, all four together, and a restore from boundary 3 all
+/// reproduce the plain run's canonical bytes.
+#[test]
+fn golden_quartet_options_compose() {
+    use triosim::SelfProfiler;
+    use triosim_obs::{JsonlSink, ProgressMonitor, RunRecorder};
+
+    let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
+    let platform = Platform::p2(2);
+    let recorder = || {
+        let mut r = RunRecorder::new();
+        r.push(Box::new(JsonlSink::new(std::io::sink())));
+        Box::new(r)
+    };
+    let progress = || ProgressMonitor::with_writer(Box::new(std::io::sink()));
+    let quartet = [
+        ("dp", Parallelism::DataParallel { overlap: false }),
+        ("ddp", Parallelism::DataParallel { overlap: true }),
+        ("tp", Parallelism::TensorParallel),
+        ("pp", Parallelism::Pipeline { chunks: 2 }),
+    ];
+    for (name, parallelism) in quartet {
+        let base = || {
+            SimBuilder::new(&trace, &platform)
+                .parallelism(parallelism)
+                .iterations(6)
+        };
+        let snap = |tag: &str| {
+            std::env::temp_dir().join(format!(
+                "triosim-golden-compose-{name}-{tag}-{}.ckpt",
+                std::process::id()
+            ))
+        };
+        let profiled = |b: SimBuilder<'_>| {
+            let mut prof = SelfProfiler::new();
+            let report = b.try_run_profiled(&mut prof).expect("run succeeds");
+            assert!(prof.snapshot().find(&["engine_loop"]).is_some());
+            report
+        };
+        let plain = base().run().to_canonical_string();
+        let prefix = snap("prefix");
+        base().iterations(3).checkpoint(&prefix, 3).run();
+        let (ck, all) = (snap("ck"), snap("all"));
+        let variants = [
+            ("events", base().recorder(recorder()).run()),
+            ("progress", base().progress(progress()).run()),
+            ("profile", profiled(base())),
+            ("checkpoint", base().checkpoint(&ck, 1).run()),
+            (
+                "all four",
+                profiled(
+                    base()
+                        .recorder(recorder())
+                        .progress(progress())
+                        .checkpoint(&all, 1),
+                ),
+            ),
+            ("restore", base().restore(&prefix).run()),
+        ];
+        for path in [&prefix, &ck, &all] {
+            std::fs::remove_file(path).ok();
+        }
+        for (option, report) in variants {
+            assert_eq!(
+                plain,
+                report.to_canonical_string(),
+                "`{name}` x6 with {option} diverged from the plain run"
+            );
+        }
+    }
+}
+
 /// The snapshot comparison is only as strong as the canonical form:
 /// verify the timeline hash actually covers scheduling order, not just
 /// aggregate totals, by checking two different configurations disagree.
