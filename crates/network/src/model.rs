@@ -106,6 +106,21 @@ pub struct PacketObservation {
     pub queue_depth_hist: [u64; 8],
 }
 
+impl PacketObservation {
+    /// Folds `other` in: counters and histogram buckets add, the
+    /// deepest queue is the larger of the two.
+    pub fn absorb(&mut self, other: &PacketObservation) {
+        self.packets_sent += other.packets_sent;
+        self.retransmits += other.retransmits;
+        self.drops += other.drops;
+        self.ecn_marks += other.ecn_marks;
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+        for (c, v) in self.queue_depth_hist.iter_mut().zip(other.queue_depth_hist) {
+            *c += v;
+        }
+    }
+}
+
 /// A fault applied to the duplex link between two endpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFault {
@@ -507,5 +522,40 @@ mod tests {
         let b = NetCommand::Cancel { flow: FlowId(1) };
         assert_ne!(a, b);
         assert_eq!(format!("{}", FlowId(3)), "flow3");
+    }
+
+    #[test]
+    fn packet_observations_absorb_sums_and_max() {
+        let mut a = PacketObservation {
+            packets_sent: 10,
+            retransmits: 1,
+            drops: 1,
+            ecn_marks: 3,
+            max_queue_depth: 9,
+            queue_depth_hist: [1, 2, 0, 0, 0, 0, 0, 4],
+        };
+        let b = PacketObservation {
+            packets_sent: 5,
+            retransmits: 2,
+            drops: 2,
+            ecn_marks: 0,
+            max_queue_depth: 4,
+            queue_depth_hist: [0, 1, 1, 0, 0, 0, 0, 0],
+        };
+        a.absorb(&b);
+        assert_eq!(
+            a,
+            PacketObservation {
+                packets_sent: 15,
+                retransmits: 3,
+                drops: 3,
+                ecn_marks: 3,
+                max_queue_depth: 9,
+                queue_depth_hist: [1, 3, 1, 0, 0, 0, 0, 4],
+            }
+        );
+        let before = a;
+        a.absorb(&PacketObservation::default());
+        assert_eq!(a, before, "the empty observation is the identity");
     }
 }

@@ -16,14 +16,27 @@
 //! clock of its own beside it; like every [`NetworkModel`] it must
 //! answer `send` with a projected delivery time. The model therefore
 //! keeps the arrival list of the current *busy period* (the maximal
-//! window during which flows are in flight) and deterministically
-//! re-simulates the whole period on each `send`, emitting re-`Schedule`
-//! commands for flows whose projected completion moved. Causality makes
-//! the projections exact: a packet injected at `now` cannot influence
-//! any packet event before `now`, so completions an earlier replay
-//! placed in the past are final by the time they could be contradicted.
-//! When the last flow of a period delivers, the period's packet
-//! statistics are committed and the arrival list is cleared.
+//! window during which flows are in flight) and, on each `send`,
+//! deterministically re-simulates the new arrival's *interference
+//! component* from its first arrival: the period's arrivals that share
+//! a link with it, directly or transitively. It emits re-`Schedule`
+//! commands for the component's flows whose projected completion moved.
+//! Causality makes the projections exact: a packet injected at `now`
+//! cannot influence any packet event before `now`, so completions an
+//! earlier replay placed in the past are final by the time they could
+//! be contradicted. When the last flow of a period delivers, the
+//! period's packet statistics are committed and the arrival list is
+//! cleared.
+//!
+//! Replaying one component gives, bit for bit, what replaying the whole
+//! period would. Flows interact only through link queues (the ACK path
+//! is latency-only), so components with disjoint link sets share no
+//! state; within a component, equal-time events keep their relative
+//! `(time, insertion id)` order, because start events are pushed in
+//! arrival order and later ids follow processing order. Completions,
+//! per-link totals and the packet counters (sums, and a max for the
+//! deepest queue) therefore match the whole-period replay's, while a
+//! send costs O(component events) instead of O(period events).
 //!
 //! # Where the tiers must agree, and where they must not
 //!
@@ -171,10 +184,19 @@ struct SimLink {
     busy_time: TimeSpan,
 }
 
+/// One interference component of the open busy period.
+#[derive(Debug)]
+struct Component {
+    /// Member arrival indices, ascending.
+    members: Vec<usize>,
+    /// The latest replay's packet statistics for these members.
+    stats: PacketObservation,
+}
+
 /// The outcome of one busy-period replay.
 #[derive(Debug)]
 struct Replay {
-    /// Completion time per arrival index.
+    /// Completion time per replayed member, in member order.
     completion: Vec<VirtualTime>,
     stats: PacketObservation,
     links: Vec<(u64, TimeSpan)>,
@@ -393,6 +415,13 @@ pub struct PacketNetwork {
     routes: BTreeMap<(NodeId, NodeId), Arc<[LinkId]>>,
     /// Sends of the current busy period, in arrival order.
     arrivals: Vec<Arrival>,
+    /// Union-find parent per arrival index: arrivals that share a link,
+    /// directly or transitively, have one root.
+    parent: Vec<usize>,
+    /// Per link, the first arrival of the period that crosses it.
+    link_owner: Vec<Option<usize>>,
+    /// The period's interference components, keyed by root.
+    components: BTreeMap<usize, Component>,
     /// Undelivered flows of the period, mapped to their arrival index.
     live: BTreeMap<FlowId, usize>,
     /// The delivery time each live flow is currently armed at.
@@ -400,17 +429,18 @@ pub struct PacketNetwork {
     next_flow: u64,
     bytes_delivered: u64,
     flows_completed: u64,
-    /// Busy-period replays performed (the packet tier's analogue of the
-    /// flow model's reallocation rounds).
+    /// Replays performed, one per send, each over the send's
+    /// interference component (the packet tier's analogue of the flow
+    /// model's reallocation rounds).
     replays: u64,
     /// Delivery events re-armed because a later arrival moved them.
     reschedules: u64,
     /// Packet statistics of closed busy periods.
     committed: PacketObservation,
     committed_links: Vec<(u64, TimeSpan)>,
-    /// Latest replay's projection for the open period (full-period
-    /// totals; exact once the period closes).
-    open: PacketObservation,
+    /// Per-link projection for the open period. A link belongs to at
+    /// most one component and holds that component's latest replay
+    /// totals (exact once the period closes).
     open_links: Vec<(u64, TimeSpan)>,
 }
 
@@ -447,6 +477,9 @@ impl PacketNetwork {
             config,
             routes: BTreeMap::new(),
             arrivals: Vec::new(),
+            parent: Vec::new(),
+            link_owner: vec![None; links],
+            components: BTreeMap::new(),
             live: BTreeMap::new(),
             armed: BTreeMap::new(),
             next_flow: 0,
@@ -456,7 +489,6 @@ impl PacketNetwork {
             reschedules: 0,
             committed: PacketObservation::default(),
             committed_links: vec![(0, TimeSpan::ZERO); links],
-            open: PacketObservation::default(),
             open_links: vec![(0, TimeSpan::ZERO); links],
         }
     }
@@ -488,10 +520,45 @@ impl PacketNetwork {
         Ok(route)
     }
 
-    /// Deterministically re-simulates the current busy period from its
-    /// first arrival and returns per-flow completions plus the period's
-    /// packet statistics.
-    fn replay(&self) -> Replay {
+    /// Adds arrival `idx` to the union-find as the root of its
+    /// interference component, absorbing every component it bridges, and
+    /// returns the component's members in arrival order.
+    fn join(&mut self, idx: usize) -> Vec<usize> {
+        self.parent.push(idx);
+        let mut members = vec![idx];
+        let route = self.arrivals[idx].route.clone();
+        for link in route.iter() {
+            let Some(owner) = self.link_owner[link.0] else {
+                self.link_owner[link.0] = Some(idx);
+                continue;
+            };
+            let root = self.find(owner);
+            if root != idx {
+                self.parent[root] = idx;
+                let bridged = self
+                    .components
+                    .remove(&root)
+                    .expect("every root owns a component");
+                members.extend(bridged.members);
+            }
+        }
+        members.sort_unstable();
+        members
+    }
+
+    /// The root of arrival `i`'s component (with path halving).
+    fn find(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            self.parent[i] = self.parent[self.parent[i]];
+            i = self.parent[i];
+        }
+        i
+    }
+
+    /// Deterministically re-simulates the given arrivals of the current
+    /// busy period (ascending indices) from the first of them and returns
+    /// their completions plus their packet statistics.
+    fn replay(&self, members: &[usize]) -> Replay {
         let cfg = self.config;
         let links: Vec<SimLink> = (0..self.topo.link_count())
             .map(|i| SimLink {
@@ -503,10 +570,10 @@ impl PacketNetwork {
                 busy_time: TimeSpan::ZERO,
             })
             .collect();
-        let flows: Vec<SimFlow> = self
-            .arrivals
+        let flows: Vec<SimFlow> = members
             .iter()
-            .map(|a| {
+            .map(|&i| {
+                let a = &self.arrivals[i];
                 let total = a.bytes.div_ceil(cfg.mtu_bytes).max(1);
                 SimFlow {
                     route: a.route.clone(),
@@ -536,8 +603,8 @@ impl PacketNetwork {
             eid: 0,
             stats: PacketObservation::default(),
         };
-        for (i, a) in self.arrivals.iter().enumerate() {
-            r.at(a.at, Ev::Start { flow: i as u32 });
+        for (flow, &i) in members.iter().enumerate() {
+            r.at(self.arrivals[i].at, Ev::Start { flow: flow as u32 });
         }
         let mut spent = 0u64;
         while let Some(Reverse((t, _, ev))) = r.heap.pop() {
@@ -575,32 +642,35 @@ impl PacketNetwork {
         }
     }
 
-    /// Folds the open period's projection into the committed totals
-    /// (called when the period closes, making the projection exact).
-    fn commit_open(&mut self) {
-        let o = self.open;
-        self.committed.packets_sent += o.packets_sent;
-        self.committed.retransmits += o.retransmits;
-        self.committed.drops += o.drops;
-        self.committed.ecn_marks += o.ecn_marks;
-        self.committed.max_queue_depth = self.committed.max_queue_depth.max(o.max_queue_depth);
-        for (c, v) in self
-            .committed
-            .queue_depth_hist
-            .iter_mut()
-            .zip(o.queue_depth_hist)
-        {
-            *c += v;
+    /// The open period's packet statistics: the fold over its
+    /// components.
+    fn open_stats(&self) -> PacketObservation {
+        let mut open = PacketObservation::default();
+        for c in self.components.values() {
+            open.absorb(&c.stats);
         }
-        for (c, v) in self.committed_links.iter_mut().zip(&self.open_links) {
-            c.0 += v.0;
-            c.1 += v.1;
-        }
-        self.open = PacketObservation::default();
-        for slot in &mut self.open_links {
-            *slot = (0, TimeSpan::ZERO);
-        }
+        open
     }
+
+    /// Folds the open period's projection into the committed totals and
+    /// clears the period (called when it closes, making the projection
+    /// exact).
+    fn commit_open(&mut self) {
+        let open = self.open_stats();
+        self.committed.absorb(&open);
+        for (c, v) in self.committed_links.iter_mut().zip(&mut self.open_links) {
+            *c = link_sum(*c, std::mem::take(v));
+        }
+        self.arrivals.clear();
+        self.parent.clear();
+        self.link_owner.fill(None);
+        self.components.clear();
+    }
+}
+
+/// Adds two per-link `(bytes, busy time)` totals.
+fn link_sum(a: (u64, TimeSpan), b: (u64, TimeSpan)) -> (u64, TimeSpan) {
+    (a.0 + b.0, a.1 + b.1)
 }
 
 impl NetworkModel for PacketNetwork {
@@ -627,30 +697,30 @@ impl NetworkModel for PacketNetwork {
         let route = self.route_cached(src, dst)?;
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.live.insert(id, self.arrivals.len());
+        let idx = self.arrivals.len();
+        self.live.insert(id, idx);
         self.arrivals.push(Arrival {
             at: now,
             flow: id,
             route,
             bytes,
         });
-        let replay = self.replay();
+        let members = self.join(idx);
+        let replay = self.replay(&members);
         self.replays += 1;
-        self.open = replay.stats;
-        self.open_links = replay.links;
-        // Re-arm every live flow whose projected completion moved; the
-        // new flow was never armed, so it always gets its `Schedule`
-        // (last, preserving arrival order).
+        for &i in &members {
+            for link in self.arrivals[i].route.iter() {
+                self.open_links[link.0] = replay.links[link.0];
+            }
+        }
+        // Re-arm every live member whose projected completion moved
+        // (flows outside the component cannot have moved); the new flow
+        // was never armed, so it always gets its `Schedule` (last,
+        // preserving arrival order).
         let mut cmds = Vec::new();
-        let updates: Vec<(FlowId, VirtualTime)> = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| self.live.contains_key(&a.flow))
-            .map(|(i, a)| (a.flow, replay.completion[i]))
-            .collect();
-        for (flow, at) in updates {
-            if self.armed.get(&flow) != Some(&at) {
+        for (&i, &at) in members.iter().zip(&replay.completion) {
+            let flow = self.arrivals[i].flow;
+            if self.live.contains_key(&flow) && self.armed.get(&flow) != Some(&at) {
                 if flow != id {
                     self.reschedules += 1;
                 }
@@ -658,6 +728,13 @@ impl NetworkModel for PacketNetwork {
                 cmds.push(NetCommand::Schedule { flow, at });
             }
         }
+        self.components.insert(
+            idx,
+            Component {
+                members,
+                stats: replay.stats,
+            },
+        );
         Ok((id, cmds))
     }
 
@@ -672,7 +749,6 @@ impl NetworkModel for PacketNetwork {
         if self.live.is_empty() {
             // The busy period closed: its projection is now exact.
             self.commit_open();
-            self.arrivals.clear();
         }
         Vec::new()
     }
@@ -699,8 +775,7 @@ impl NetworkModel for PacketNetwork {
             .map(|i| {
                 let link = LinkId(i);
                 let (src, dst) = self.topo.endpoints(link);
-                let bytes = self.committed_links[i].0 + self.open_links[i].0;
-                let busy = self.committed_links[i].1 + self.open_links[i].1;
+                let (bytes, busy) = link_sum(self.committed_links[i], self.open_links[i]);
                 LinkObservation {
                     label: format!("n{}->n{}", src.0, dst.0),
                     bandwidth: self.topo.bandwidth(link),
@@ -718,27 +793,18 @@ impl NetworkModel for PacketNetwork {
 
     fn observe_packets(&self) -> Option<PacketObservation> {
         // Committed periods plus the open period's projection (the open
-        // share is a whole-period projection, exact at quiescence — the
-        // only time reports are assembled).
-        let o = self.open;
+        // share is each component's latest projection, exact at
+        // quiescence — the only time reports are assembled).
         let mut total = self.committed;
-        total.packets_sent += o.packets_sent;
-        total.retransmits += o.retransmits;
-        total.drops += o.drops;
-        total.ecn_marks += o.ecn_marks;
-        total.max_queue_depth = total.max_queue_depth.max(o.max_queue_depth);
-        for (c, v) in total.queue_depth_hist.iter_mut().zip(o.queue_depth_hist) {
-            *c += v;
-        }
+        total.absorb(&self.open_stats());
         Some(total)
     }
 
     fn iteration_invariant(&self) -> bool {
         // The packet dynamics are time-shift invariant in principle, but
-        // the model keeps open-period projections and per-period
-        // commitment state that fork/absorb merging does not cover, so
-        // it conservatively opts out: steady-state replay never engages,
-        // and every iteration is simulated.
+        // the model exposes no `stats_snapshot`, so steady-state replay
+        // could not extend its counters; it opts out, and every
+        // iteration is simulated.
         false
     }
 
@@ -770,6 +836,8 @@ impl NetworkModel for PacketNetwork {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn at_of(cmds: &[NetCommand]) -> VirtualTime {
@@ -951,5 +1019,239 @@ mod tests {
         assert!(!net.iteration_invariant());
         assert!(net.fork_pristine().is_none());
         assert!(net.checkpoint_state().is_none());
+    }
+
+    #[test]
+    fn link_disjoint_sends_replay_separately() {
+        // 1->3 crosses 1->host->3 and 2->4 crosses 2->host->4: no link
+        // in common, so the second send must not touch the first flow.
+        let topo = Topology::pcie_host_tree(4, 16e9, 1e-6);
+        let mut net = PacketNetwork::with_config(topo, PacketConfig::shallow());
+        let (fa, ca) = net.send(VirtualTime::ZERO, NodeId(1), NodeId(3), 4_000_000);
+        let (fb, cb) = net.send(VirtualTime::ZERO, NodeId(2), NodeId(4), 4_000_000);
+        assert_eq!(cb.len(), 1, "only the new flow is scheduled: {cb:?}");
+        assert!(matches!(cb[0], NetCommand::Schedule { flow, .. } if flow == fb));
+        assert_eq!(net.observe().reschedules, 0);
+        assert_eq!(net.observe().reallocations, 2);
+        assert_eq!(net.components.len(), 2);
+        // Each flow alone on its path finishes as it would on an empty
+        // network.
+        assert_eq!(at_of(&ca), at_of(&cb));
+        assert_eq!(net.armed[&fa], at_of(&ca));
+    }
+
+    #[test]
+    fn a_bridging_send_merges_components_and_rearms_both() {
+        // 1->4 shares 1->host with the 1->3 flow and host->4 with the
+        // 2->4 flow: it joins both components into one, and both old
+        // flows are re-armed.
+        let topo = Topology::pcie_host_tree(4, 16e9, 1e-6);
+        let mut net = PacketNetwork::with_config(topo, PacketConfig::shallow());
+        let (fa, _) = net.send(VirtualTime::ZERO, NodeId(1), NodeId(3), 4_000_000);
+        let (fb, _) = net.send(VirtualTime::ZERO, NodeId(2), NodeId(4), 4_000_000);
+        let (fc, cc) = net.send(VirtualTime::ZERO, NodeId(1), NodeId(4), 4_000_000);
+        let flows: Vec<FlowId> = cc
+            .iter()
+            .map(|c| match c {
+                NetCommand::Schedule { flow, .. } => *flow,
+                NetCommand::Cancel { flow } => panic!("unexpected cancel of {flow}"),
+            })
+            .collect();
+        assert_eq!(flows, [fa, fb, fc], "members re-armed in arrival order");
+        assert_eq!(net.observe().reschedules, 2);
+        assert_eq!(net.components.len(), 1);
+        assert_eq!(net.components[&2].members, [0, 1, 2]);
+    }
+
+    /// The whole-period bookkeeping the component replay must reproduce:
+    /// after every send it replays *every* arrival of the open period
+    /// and derives the commands and observations the network must show.
+    struct WholePeriod {
+        armed: BTreeMap<FlowId, VirtualTime>,
+        sends: u64,
+        reschedules: u64,
+        bytes_delivered: u64,
+        flows_completed: u64,
+        committed: PacketObservation,
+        committed_links: Vec<(u64, TimeSpan)>,
+        open: PacketObservation,
+        open_links: Vec<(u64, TimeSpan)>,
+    }
+
+    impl WholePeriod {
+        fn new(links: usize) -> Self {
+            WholePeriod {
+                armed: BTreeMap::new(),
+                sends: 0,
+                reschedules: 0,
+                bytes_delivered: 0,
+                flows_completed: 0,
+                committed: PacketObservation::default(),
+                committed_links: vec![(0, TimeSpan::ZERO); links],
+                open: PacketObservation::default(),
+                open_links: vec![(0, TimeSpan::ZERO); links],
+            }
+        }
+
+        /// The commands the send of `new` must have returned.
+        fn sent(&mut self, net: &PacketNetwork, new: FlowId) -> Vec<NetCommand> {
+            let all: Vec<usize> = (0..net.arrivals.len()).collect();
+            let whole = net.replay(&all);
+            self.sends += 1;
+            self.open = whole.stats;
+            self.open_links = whole.links;
+            let mut cmds = Vec::new();
+            for (a, &at) in net.arrivals.iter().zip(&whole.completion) {
+                let live = a.flow == new || self.armed.contains_key(&a.flow);
+                if live && self.armed.get(&a.flow) != Some(&at) {
+                    if a.flow != new {
+                        self.reschedules += 1;
+                    }
+                    self.armed.insert(a.flow, at);
+                    cmds.push(NetCommand::Schedule { flow: a.flow, at });
+                }
+            }
+            cmds
+        }
+
+        fn delivered(&mut self, flow: FlowId, bytes: u64) {
+            self.armed.remove(&flow);
+            self.bytes_delivered += bytes;
+            self.flows_completed += 1;
+            if self.armed.is_empty() {
+                self.committed.absorb(&self.open);
+                self.open = PacketObservation::default();
+                for (c, o) in self.committed_links.iter_mut().zip(&mut self.open_links) {
+                    c.0 += o.0;
+                    c.1 += o.1;
+                    *o = (0, TimeSpan::ZERO);
+                }
+            }
+        }
+
+        fn check(&self, net: &PacketNetwork) -> Result<(), String> {
+            let femtos = |m: &BTreeMap<FlowId, VirtualTime>| -> Vec<(u64, u64)> {
+                m.iter().map(|(f, at)| (f.0, at.as_femtos())).collect()
+            };
+            prop_assert_eq!(femtos(&net.armed), femtos(&self.armed));
+            prop_assert_eq!(
+                net.observe(),
+                NetObservation {
+                    in_flight: self.armed.len(),
+                    bytes_delivered: self.bytes_delivered,
+                    flows_completed: self.flows_completed,
+                    reallocations: self.sends,
+                    reschedules: self.reschedules,
+                    ..NetObservation::default()
+                }
+            );
+            let mut packets = self.committed;
+            packets.absorb(&self.open);
+            prop_assert_eq!(net.observe_packets(), Some(packets));
+            for (i, l) in net.observe_links().iter().enumerate() {
+                let (c, o) = (self.committed_links[i], self.open_links[i]);
+                prop_assert_eq!(l.bytes, (c.0 + o.0) as f64, "bytes on {}", l.label);
+                prop_assert_eq!(l.busy_s, (c.1 + o.1).as_seconds(), "busy on {}", l.label);
+            }
+            Ok(())
+        }
+    }
+
+    /// Generated traffic: per send, the gap since the previous send in
+    /// nanoseconds (0 = the same instant), source, destination, bytes.
+    type Send = (u64, usize, usize, u64);
+
+    /// Delivers every armed flow due by `horizon` (all of them on
+    /// `None`) in `(time, flow)` order, checking after each delivery.
+    fn deliver_until(
+        net: &mut PacketNetwork,
+        oracle: &mut WholePeriod,
+        sizes: &[u64],
+        horizon: Option<VirtualTime>,
+    ) -> Result<(), String> {
+        while let Some((at, flow)) = oracle.armed.iter().map(|(&f, &at)| (at, f)).min() {
+            if horizon.is_some_and(|h| at > h) {
+                break;
+            }
+            prop_assert!(net.deliver(flow, at).is_empty());
+            oracle.delivered(flow, sizes[flow.0 as usize]);
+            oracle.check(net)?;
+        }
+        Ok(())
+    }
+
+    /// Drives `sends` through a packet network, delivering every flow at
+    /// its armed time as the simulator would, and checks the network
+    /// against [`WholePeriod`] after each send and delivery. Returns how
+    /// many sends bridged two or more existing components.
+    fn run_against_whole_period(
+        topo: Topology,
+        cfg: PacketConfig,
+        sends: &[Send],
+    ) -> Result<usize, String> {
+        let mut oracle = WholePeriod::new(topo.link_count());
+        let mut net = PacketNetwork::with_config(topo, cfg);
+        let mut sizes = Vec::new();
+        let mut now = VirtualTime::ZERO;
+        let mut bridges = 0;
+        for &(gap_ns, src, dst, bytes) in sends {
+            now += TimeSpan::from_femtos(gap_ns * 1_000_000);
+            deliver_until(&mut net, &mut oracle, &sizes, Some(now))?;
+            let before = net.components.len();
+            let (flow, cmds) = net.send(now, NodeId(src), NodeId(dst), bytes);
+            sizes.push(bytes);
+            if net.components.len() < before {
+                bridges += 1;
+            }
+            prop_assert_eq!(cmds, oracle.sent(&net, flow));
+            oracle.check(&net)?;
+        }
+        deliver_until(&mut net, &mut oracle, &sizes, None)?;
+        prop_assert_eq!(net.in_flight(), 0);
+        Ok(bridges)
+    }
+
+    #[test]
+    fn bridging_arrivals_match_the_whole_period_replay() {
+        // Two disjoint flows, a bridge across both while they are in
+        // flight, a local send, and a staggered latecomer.
+        let sends = [
+            (0, 1, 3, 600_000),
+            (0, 2, 4, 600_000),
+            (3_000, 1, 4, 600_000),
+            (0, 2, 2, 600_000),
+            (5_000, 3, 4, 300_000),
+        ];
+        let topo = Topology::pcie_host_tree(4, 16e9, 1e-6);
+        let bridges = run_against_whole_period(topo, PacketConfig::shallow(), &sends)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert!(bridges >= 1, "the third send bridges two components");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Component-scoped replay is exact: over random bursts on a
+        /// PCIe host tree and on oversubscribed pods with shallow
+        /// buffers (so drops, ECN marks and retransmits occur), with
+        /// same-instant and staggered arrivals and same-node sends, the
+        /// commands, armed times and every observation equal what a
+        /// replay of the whole busy period gives.
+        #[test]
+        fn component_replay_matches_whole_period_replay(
+            pods in any::<bool>(),
+            sends in prop::collection::vec((0usize..4, 0usize..8, 0usize..8, 1u64..600_000), 1..14),
+        ) {
+            let (topo, hosts) = if pods {
+                (Topology::oversubscribed_pods(2, 2, 2, 16e9, 1e-6, 2.0), 8)
+            } else {
+                (Topology::pcie_host_tree(4, 16e9, 1e-6), 5)
+            };
+            let sends: Vec<Send> = sends
+                .iter()
+                .map(|&(gap, src, dst, bytes)| ([0, 0, 3_000, 60_000][gap], src % hosts, dst % hosts, bytes))
+                .collect();
+            run_against_whole_period(topo, PacketConfig::shallow(), &sends)?;
+        }
     }
 }
