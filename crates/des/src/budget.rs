@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::time::VirtualTime;
 
 /// Which budget axis a run exceeded.
@@ -54,8 +55,9 @@ impl fmt::Display for BudgetKind {
     }
 }
 
-/// A per-run execution budget; see the [module docs](self) for the
-/// three axes and their determinism guarantees.
+/// A per-run execution budget over three axes: delivered events and
+/// simulated time, which trip deterministically, and a wall-clock
+/// deadline, which depends on the host and so never does.
 ///
 /// The wall-clock deadline is armed when
 /// [`with_wall_timeout_ms`](RunBudget::with_wall_timeout_ms) is called,
@@ -151,20 +153,12 @@ impl RunBudget {
     /// excluded: it is host-dependent by design and is re-armed on
     /// restore.
     pub fn deterministic_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
         // Wrapping keeps `u64::MAX` limits (no overflow panic) at the
         // value release builds always produced.
-        fold(self.max_events.map_or(0, |m| m.wrapping_add(1)));
-        fold(self.max_sim_time.map_or(0, |(_, us)| us.wrapping_add(1)));
-        h
+        let events = self.max_events.map_or(0, |m| m.wrapping_add(1));
+        let sim_us = self.max_sim_time.map_or(0, |(_, us)| us.wrapping_add(1));
+        let h = fnv1a(FNV_OFFSET, &events.to_le_bytes());
+        fnv1a(h, &sim_us.to_le_bytes())
     }
 
     /// Checks the budget against the run's progress: `events` delivered

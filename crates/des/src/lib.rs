@@ -1,21 +1,25 @@
 //! Deterministic discrete-event simulation engine for TrioSim-RS.
 //!
 //! This crate is the Rust equivalent of the role the Akita Simulator Engine
-//! plays in the original (Go) TrioSim: it owns *virtual time*, an event
-//! queue, and the dispatch loop, and lets the rest of the simulator
-//! fast-forward over uninteresting wall-clock detail by jumping from event
-//! to event.
+//! plays in the original (Go) TrioSim: it owns *virtual time* and the
+//! event queue a simulator's dispatch loop drains, which lets the rest of
+//! the simulator fast-forward over uninteresting wall-clock detail by
+//! jumping from event to event.
 //!
-//! Two layers are provided:
+//! The crate holds the engine's primitives, and nothing else:
 //!
-//! * [`EventQueue`] — a minimal, fully generic priority queue of
-//!   `(time, event)` pairs with stable FIFO ordering for simultaneous
-//!   events and O(log n) lazy cancellation. Most simulators built on this
-//!   crate define one event `enum` and drive the loop themselves.
-//! * [`Engine`] + [`Handler`] — an Akita-style dispatch layer where
-//!   components register as handlers and events are routed by
-//!   [`HandlerId`]. Useful when a simulation is composed of many loosely
-//!   coupled components.
+//! * [`VirtualTime`] / [`TimeSpan`] — integer (femtosecond) virtual
+//!   time, so event ordering and accumulated durations are exact.
+//! * [`EventQueue`] — a fully generic priority queue of `(time, event)`
+//!   pairs with stable FIFO ordering for simultaneous events and lazy
+//!   cancellation by [`EventId`]. A simulator defines one event `enum`
+//!   and drives the loop itself; [`QueueStats`] counts what the queue
+//!   did.
+//! * [`RunBudget`] — the runaway guard a loop checks per event, with
+//!   [`BudgetKind`] naming the axis that tripped and [`BudgetProgress`]
+//!   the counted progress a checkpoint carries.
+//! * [`fnv1a`] and [`merge_intervals`] — the content fingerprint and the
+//!   interval union shared across the workspace.
 //!
 //! # Determinism
 //!
@@ -57,15 +61,15 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod budget;
-mod engine;
+mod fnv;
+mod interval;
 mod queue;
 mod stats;
-mod ticker;
 mod time;
 
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
-pub use engine::{Engine, EngineCtx, EngineError, Handler, HandlerId, HandlerStats};
+pub use fnv::{fnv1a, FNV_OFFSET};
+pub use interval::merge_intervals;
 pub use queue::{EventId, EventQueue};
 pub use stats::QueueStats;
-pub use ticker::{tick_while, Ticker};
 pub use time::{TimeSpan, VirtualTime};

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize, Value};
-use triosim_des::{TimeSpan, VirtualTime};
+use triosim_des::{merge_intervals, TimeSpan, VirtualTime};
 
 /// Number of critical ops and hot links retained in a
 /// [`BottleneckReport`] (keeps the canonical JSON small and stable).
@@ -546,11 +546,9 @@ impl AttributionAccumulator {
             }
         }
         for g in 0..self.per_gpu.len() {
-            let compute = union_in_place(&mut self.scratch_compute[g]);
-            let comm = union_in_place(&mut self.scratch_comm[g]);
-            let compute_len = total_len(compute);
-            let comm_len = total_len(comm);
-            let overlapped = intersect_len(compute, comm);
+            let compute_len = merge_intervals(&mut self.scratch_compute[g]);
+            let comm_len = merge_intervals(&mut self.scratch_comm[g]);
+            let overlapped = intersect_len(&self.scratch_compute[g], &self.scratch_comm[g]);
             let exposed = comm_len - overlapped;
             let b = &mut self.per_gpu[g];
             b.compute += compute_len;
@@ -836,31 +834,6 @@ impl BottleneckReport {
             ),
         ])
     }
-}
-
-/// Sorts and merges overlapping intervals in place; returns the merged
-/// prefix.
-fn union_in_place(v: &mut Vec<(VirtualTime, VirtualTime)>) -> &[(VirtualTime, VirtualTime)] {
-    v.sort();
-    let mut w = 0;
-    for i in 0..v.len() {
-        if w == 0 || v[i].0 > v[w - 1].1 {
-            v[w] = v[i];
-            w += 1;
-        } else if v[i].1 > v[w - 1].1 {
-            v[w - 1].1 = v[i].1;
-        }
-    }
-    v.truncate(w);
-    v
-}
-
-fn total_len(v: &[(VirtualTime, VirtualTime)]) -> TimeSpan {
-    let mut t = TimeSpan::ZERO;
-    for &(s, e) in v {
-        t += e - s;
-    }
-    t
 }
 
 /// Intersection length of two sorted, disjoint interval lists.

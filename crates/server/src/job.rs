@@ -28,20 +28,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::Value;
-
-/// FNV-1a 64-bit, the workspace's standard content fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+use triosim_des::{fnv1a, FNV_OFFSET};
 
 /// The content-addressed id of a spec: 16 lowercase hex digits.
 pub fn job_id(spec_text: &str) -> String {
-    format!("{:016x}", fnv1a(spec_text.as_bytes()))
+    format!("{:016x}", fnv1a(FNV_OFFSET, spec_text.as_bytes()))
 }
 
 /// Where one job keeps its artifacts. Handed to the [`JobRunner`] so the

@@ -591,7 +591,7 @@ fn run_job(inner: &Inner, id: &str) {
         }
     };
     let max_attempts = inner.config.retry.max_attempts.max(1);
-    let job_key = crate::job::fnv1a(id.as_bytes());
+    let job_key = triosim_des::fnv1a(triosim_des::FNV_OFFSET, id.as_bytes());
     for attempt in 1..=max_attempts {
         inner.set_state(id, JobState::Running { attempt });
         match inner.runner.run(&spec_text, &paths, attempt, &inner.cancel) {

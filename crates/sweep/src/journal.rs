@@ -41,6 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize, Value};
+use triosim_des::{fnv1a, FNV_OFFSET};
 
 use crate::spec::Scenario;
 
@@ -572,22 +573,13 @@ pub fn read_journal(path: &Path) -> Result<(JournalHeader, Vec<JournalEntry>), J
 /// changed wall-clock deadlines (host-dependent) while any other edit
 /// to the spec changes the hash and invalidates the journal.
 pub fn spec_hash(name: &str, scenarios: &[Scenario]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    let mut h = OFFSET;
-    eat(&mut h, name.as_bytes());
-    eat(&mut h, b"\0");
+    let mut h = fnv1a(FNV_OFFSET, name.as_bytes());
+    h = fnv1a(h, b"\0");
     for s in scenarios {
         let canonical =
             serde_json::to_string(&s.to_value()).expect("scenarios serialize to plain JSON");
-        eat(&mut h, canonical.as_bytes());
-        eat(&mut h, b"\n");
+        h = fnv1a(h, canonical.as_bytes());
+        h = fnv1a(h, b"\n");
     }
     h
 }

@@ -25,7 +25,7 @@ pub enum SpecError {
     },
     /// The spec expands to zero scenarios.
     Empty,
-    /// The spec expands past [`MAX_SCENARIOS`].
+    /// The spec expands past `MAX_SCENARIOS` (100,000) scenarios.
     TooLarge(usize),
 }
 
@@ -406,7 +406,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns [`SpecError`] when a value fails to decode into its field,
-    /// the sweep is empty, or it exceeds [`MAX_SCENARIOS`].
+    /// the sweep is empty, or it exceeds `MAX_SCENARIOS` (100,000).
     pub fn expand(&self) -> Result<Vec<Scenario>, SpecError> {
         let total = self.len();
         if total == 0 {

@@ -59,7 +59,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
-use triosim_des::{BudgetProgress, QueueStats, RunBudget, TimeSpan, VirtualTime};
+use triosim_des::{
+    fnv1a, BudgetProgress, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
+};
 use triosim_faults::FaultPlan;
 use triosim_network::{NetCheckpoint, NetworkModel};
 use triosim_obs::AttributionState;
@@ -231,19 +233,8 @@ pub(crate) struct CheckpointConfig {
     pub spec_hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv(hash, &value.to_le_bytes())
+    fnv1a(hash, &value.to_le_bytes())
 }
 
 /// Fingerprints everything that determines the engine's trajectory:
@@ -255,13 +246,13 @@ pub(crate) fn spec_hash(
     graph: &TaskGraph,
     network: &dyn NetworkModel,
     plan: &FaultPlan,
-    budget: &RunBudget,
+    budget: Option<&RunBudget>,
 ) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv_u64(h, graph.gpus() as u64);
     h = fnv_u64(h, graph.len() as u64);
     for task in graph.tasks() {
-        h = fnv(h, task.label.as_bytes());
+        h = fnv1a(h, task.label.as_bytes());
         match &task.kind {
             TaskKind::Compute { gpu, duration } => {
                 h = fnv_u64(h, 1);
@@ -282,8 +273,9 @@ pub(crate) fn spec_hash(
         h = fnv_u64(h, task.layer.map_or(0, |l| 1 + l as u64));
     }
     h = fnv_u64(h, network.spec_fingerprint());
-    h = fnv(h, plan.to_json().as_bytes());
-    h = fnv_u64(h, budget.deterministic_fingerprint());
+    h = fnv1a(h, plan.to_json().as_bytes());
+    let unlimited = RunBudget::unlimited();
+    h = fnv_u64(h, budget.unwrap_or(&unlimited).deterministic_fingerprint());
     h
 }
 
@@ -376,7 +368,7 @@ pub fn validate_snapshot_file(path: &Path) -> Result<(), CheckpointError> {
 /// Startup hygiene: removes stale `.tmp` staging files from a
 /// checkpoint directory.
 ///
-/// A crash between [`write_snapshot`]'s `File::create(tmp)` and its
+/// A crash between the snapshot writer's `File::create(tmp)` and its
 /// atomic rename leaves the `.tmp` sibling behind. The rename protocol
 /// means such a file can never be *read* as a snapshot (restore only
 /// opens the final path), but without cleanup it leaks forever — one

@@ -13,12 +13,14 @@ use std::fmt;
 
 use triosim_des::BudgetKind;
 
-/// A simulation ended early because an injected fault made the remaining
-/// work impossible, or because it exceeded its run budget.
+/// A simulation could not run or ended early: its configuration is
+/// unsupported, a fault or a disconnected topology made the remaining
+/// work impossible, or it exceeded its run budget.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// A link failure left two transfer endpoints with no connecting
-    /// path, so an in-flight or newly started flow could never drain.
+    /// Two transfer endpoints have no connecting path — a link failure
+    /// cut it, or the topology never had one — so an in-flight or newly
+    /// started flow could never drain.
     Partitioned {
         /// Source node of the path that no longer exists.
         src: usize,
@@ -50,9 +52,14 @@ pub enum SimError {
         limit: u64,
     },
     /// A checkpoint snapshot could not be written, read, or applied.
-    /// Carries the typed cause; see [`CheckpointError`] for the taxonomy
-    /// (I/O, corruption, spec mismatch, future format version).
+    /// Carries the typed cause; see
+    /// [`CheckpointError`](crate::CheckpointError) for the taxonomy (I/O,
+    /// corruption, spec mismatch, future format version).
     Checkpoint(crate::checkpoint::CheckpointError),
+    /// The configuration cannot be simulated at all (for example, more
+    /// pipeline stages than the model has layers). Reported before any
+    /// graph is built; the message names the conflict.
+    Unsupported(String),
 }
 
 impl fmt::Display for SimError {
@@ -67,6 +74,7 @@ impl fmt::Display for SimError {
                 "gpu {gpu} dropped out at t={at_s:.6}s: its remaining tasks cannot run"
             ),
             SimError::InvalidPlan(msg) => write!(f, "{msg}"),
+            SimError::Unsupported(msg) => write!(f, "unsupported configuration: {msg}"),
             SimError::BudgetExceeded { kind, limit } => match kind {
                 BudgetKind::Events => {
                     write!(f, "budget exceeded: more than {limit} events delivered")

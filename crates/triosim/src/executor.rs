@@ -11,7 +11,9 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
 
-use triosim_des::{EventId, EventQueue, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime};
+use triosim_des::{
+    merge_intervals, EventId, EventQueue, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
+};
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
@@ -24,8 +26,7 @@ use crate::checkpoint::{
 };
 use crate::error::SimError;
 use crate::report::{
-    merge_intervals, timeline_fnv, union_length, FaultStats, ShiftedFold, SimReport,
-    TimelineRecord, TimelineStore, TimelineTrack, FNV_OFFSET,
+    timeline_fnv, FaultStats, ShiftedFold, SimReport, TimelineRecord, TimelineStore, TimelineTrack,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -57,8 +58,8 @@ pub(crate) struct RunOptions<'a> {
     pub iterations: usize,
     /// Fault plan; an empty plan attaches nothing.
     pub faults: FaultPlan,
-    /// Runaway guard; an unlimited budget attaches nothing.
-    pub budget: RunBudget,
+    /// Runaway guard; `None` attaches nothing.
+    pub budget: Option<RunBudget>,
     /// Receives spans and metrics; `None` or a disabled recorder skips
     /// all instrumentation.
     pub recorder: Option<Box<dyn Recorder>>,
@@ -80,7 +81,7 @@ impl Default for RunOptions<'_> {
         RunOptions {
             iterations: 1,
             faults: FaultPlan::default(),
-            budget: RunBudget::unlimited(),
+            budget: None,
             recorder: None,
             progress: None,
             sample_period: TimeSpan::from_millis(1.0),
@@ -99,7 +100,9 @@ impl Default for RunOptions<'_> {
 ///
 /// Panics if the graph deadlocks (a dependency cycle), which the
 /// [`TaskGraph`] construction rules make impossible, or if a transfer's
-/// endpoints are not connected in the network's topology.
+/// endpoints are not connected in the network's topology (which
+/// [`SimBuilder::try_run`](crate::SimBuilder::try_run) reports as
+/// [`SimError::Partitioned`]).
 pub fn execute(graph: &TaskGraph, network: &mut dyn NetworkModel) -> SimReport {
     execute_iterations(graph, network, 1)
 }
@@ -134,8 +137,9 @@ pub fn execute_iterations(
 ///
 /// # Errors
 ///
-/// [`SimError::Partitioned`] / [`SimError::GpuLost`] when an injected
-/// fault makes the remaining work impossible,
+/// [`SimError::Partitioned`] when a transfer's endpoints have no
+/// connecting path (never connected, or cut by an injected fault),
+/// [`SimError::GpuLost`] when an injected GPU drop-out strands its tasks,
 /// [`SimError::BudgetExceeded`] on a tripped budget, and
 /// [`SimError::Checkpoint`] when a snapshot cannot be written or the
 /// restored one is structurally invalid.
@@ -300,9 +304,7 @@ struct Executor<'a> {
     gpus: Vec<GpuStream>,
     flow_task: HashMap<FlowId, TaskId>,
     flow_event: HashMap<FlowId, EventId>,
-    flow_start: HashMap<FlowId, VirtualTime>,
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
-    compute_start: Vec<Option<VirtualTime>>,
     timeline: Vec<TimelineRecord>,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
@@ -314,14 +316,17 @@ struct Executor<'a> {
     tl_mark: usize,
     completed: usize,
     bytes_transferred: u64,
-    // ------- observability (all inert unless `ticker`/`observing`) -------
+    // ------- observability (all inert unless `sample_period`/`observing`) -------
     recorder: Option<Box<dyn Recorder>>,
     progress: Option<ProgressMonitor>,
     /// True when a live, enabled recorder is attached.
     observing: bool,
-    /// Monitor sampling grid; `Some` when a recorder or progress monitor
-    /// is attached. Samples are taken between events, never queued.
-    ticker: Option<Ticker>,
+    /// Virtual time between monitor samples; `Some` when a recorder or
+    /// progress monitor is attached. Samples are taken between events,
+    /// never queued.
+    sample_period: Option<TimeSpan>,
+    /// Monitor samples taken so far (the `tick` dispatch metric).
+    samples: u64,
     /// The next sampling instant of the current iteration.
     next_sample: Option<VirtualTime>,
     /// Pending compute/flow events; an armed fault is cancelled when
@@ -360,13 +365,12 @@ struct Executor<'a> {
     replay_wall_s: f64,
     prev_link_busy: Vec<f64>,
     prev_sample_at: VirtualTime,
-    collective_of_first: HashMap<TaskId, usize>,
     collective_of_last: HashMap<TaskId, usize>,
-    collective_begin: Vec<Option<VirtualTime>>,
     // ------- bottleneck attribution (always on: pure virtual-time state) -------
     attr: AttributionAccumulator,
-    /// Per-task start/finish times of the current iteration (all kinds,
-    /// unlike `compute_start`).
+    /// Per-task start/finish times of the current iteration. A compute
+    /// task starts when its GPU stream picks it up, a transfer when it is
+    /// sent, a barrier when it completes.
     attr_start: Vec<Option<VirtualTime>>,
     attr_end: Vec<Option<VirtualTime>>,
     /// The compute task that freed this task's GPU stream, per task.
@@ -434,9 +438,7 @@ impl<'a> Executor<'a> {
                 .collect(),
             flow_task: HashMap::new(),
             flow_event: HashMap::new(),
-            flow_start: HashMap::new(),
             comm_intervals: Vec::new(),
-            compute_start: vec![None; n],
             timeline: Vec::new(),
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
@@ -445,7 +447,8 @@ impl<'a> Executor<'a> {
             recorder: None,
             progress: None,
             observing: false,
-            ticker: None,
+            sample_period: None,
+            samples: 0,
             next_sample: None,
             pending_real: 0,
             dispatches: [0; 4],
@@ -462,9 +465,7 @@ impl<'a> Executor<'a> {
             replay_wall_s: 0.0,
             prev_link_busy: Vec::new(),
             prev_sample_at: VirtualTime::ZERO,
-            collective_of_first: HashMap::new(),
             collective_of_last: HashMap::new(),
-            collective_begin: Vec::new(),
             attr: AttributionAccumulator::new(gpus, labels, classes, deps),
             attr_start: vec![None; n],
             attr_end: vec![None; n],
@@ -500,14 +501,12 @@ impl<'a> Executor<'a> {
     ) -> Self {
         self.observing = recorder.as_ref().is_some_and(|r| r.enabled());
         if self.observing || progress.is_some() {
-            self.ticker = Some(Ticker::new(sample_period));
+            self.sample_period = Some(sample_period);
         }
         if self.observing {
             for (ci, meta) in self.graph.collectives().iter().enumerate() {
-                self.collective_of_first.insert(meta.first, ci);
                 self.collective_of_last.insert(meta.last, ci);
             }
-            self.collective_begin = vec![None; self.graph.collectives().len()];
         }
         self.recorder = recorder;
         self.progress = progress;
@@ -525,11 +524,11 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attaches a run budget. Unlimited budgets are dropped so the hot
-    /// loop keeps its single `Option` discriminant test per event. The
-    /// budget spans the whole multi-iteration run.
-    fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = (!budget.is_unlimited()).then_some(budget);
+    /// Attaches a run budget, which spans the whole multi-iteration run.
+    /// `None` keeps the hot loop at one `Option` discriminant test per
+    /// event.
+    fn with_budget(mut self, budget: Option<RunBudget>) -> Self {
+        self.budget = budget;
         self
     }
 
@@ -664,11 +663,11 @@ impl<'a> Executor<'a> {
     /// invariant (`fault_event == None`) holds.
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
         // Compact the raw interval list into its union in place: the
-        // report's `union_length` is invariant under this (union is
+        // report's union length is invariant under this (union is
         // associative and idempotent), and it keeps every snapshot —
         // and the run's own memory — proportional to the iteration
         // count instead of the event count.
-        self.comm_intervals = merge_intervals(std::mem::take(&mut self.comm_intervals));
+        merge_intervals(&mut self.comm_intervals);
         let ck = self.ckpt.as_ref().expect("checkpointing is configured");
         let net = self.network.checkpoint_state().ok_or_else(|| {
             SimError::Checkpoint(CheckpointError::Unsupported(
@@ -755,8 +754,6 @@ impl<'a> Executor<'a> {
             if iter > 0 {
                 self.indegree.clone_from(&base_indegree);
                 self.completed = 0;
-                self.compute_start.fill(None);
-                self.collective_begin.fill(None);
             }
             self.run_once();
             if let Some(e) = self.stop_error.take() {
@@ -836,7 +833,7 @@ impl<'a> Executor<'a> {
     fn arm_replay(&mut self, iterations: usize) {
         let eligible = iterations >= 3
             && self.faults.is_none()
-            && self.ticker.is_none()
+            && self.sample_period.is_none()
             && self.ckpt.is_none()
             && !self.resumed
             && self.network.iteration_invariant();
@@ -874,7 +871,7 @@ impl<'a> Executor<'a> {
         let step = IterationStep {
             begin: probe.last.at,
             records: probe.last.records..here.records,
-            comm: union_length(self.comm_intervals[probe.last.comm..].to_vec()),
+            comm: merge_intervals(&mut self.comm_intervals[probe.last.comm..].to_vec()),
             counters: here.counters.since(&probe.last.counters),
         };
         let prev = probe.step.replace(step);
@@ -995,7 +992,7 @@ impl<'a> Executor<'a> {
         self.finish_observability(total, Some(&bottleneck));
         let per_gpu_compute = self.gpus.iter().map(|g| g.busy_time).collect();
         let mut queue = *self.queue.stats();
-        let mut comm_busy = union_length(self.comm_intervals);
+        let mut comm_busy = merge_intervals(&mut self.comm_intervals);
         let records = self.timeline;
         let (template, period, repeats) = match &replayed {
             Some(r) => {
@@ -1098,7 +1095,6 @@ impl<'a> Executor<'a> {
         let total_s = total.as_seconds();
         let gpu_busy: Vec<f64> = self.gpus.iter().map(|g| g.busy_time.as_seconds()).collect();
         let dispatches = self.dispatches;
-        let ticks = self.ticker.as_ref().map_or(0, Ticker::ticks);
         let fault_stats = self
             .faults
             .as_ref()
@@ -1135,7 +1131,7 @@ impl<'a> Executor<'a> {
         for (kind, count) in [
             ("compute", dispatches[0]),
             ("flow", dispatches[1]),
-            ("tick", ticks),
+            ("tick", self.samples),
         ] {
             r.counter_add(
                 "triosim_events_dispatched_total",
@@ -1290,7 +1286,7 @@ impl<'a> Executor<'a> {
         }
 
         // The sampling grid restarts with each iteration.
-        self.next_sample = self.ticker.as_ref().map(|t| self.queue.now() + t.period());
+        self.next_sample = self.sample_period.map(|p| self.queue.now() + p);
         // The next pending fault is armed only while real work remains,
         // so it can never extend the run.
         if self.pending_real > 0 {
@@ -1298,7 +1294,7 @@ impl<'a> Executor<'a> {
         }
 
         loop {
-            if self.ticker.is_some() {
+            if self.sample_period.is_some() {
                 // Peeking then popping leaves the queue exactly as a
                 // bare pop does, so sampling moves no queue counter.
                 let Some(next) = self.queue.peek_time() else {
@@ -1330,7 +1326,7 @@ impl<'a> Executor<'a> {
                     self.pending_real -= 1;
                     self.dispatches[0] += 1;
                     self.gpus[gpu].busy = false;
-                    let start = self.compute_start[task.0].expect("compute was started");
+                    let start = self.attr_start[task.0].expect("compute was started");
                     self.gpus[gpu].busy_time += now - start;
                     self.attr_end[task.0] = Some(now);
                     self.last_done[gpu] = Some(task.0 as u32);
@@ -1355,7 +1351,7 @@ impl<'a> Executor<'a> {
                         .flow_task
                         .remove(&flow)
                         .expect("delivered flow belongs to a task");
-                    let start = self.flow_start.remove(&flow).expect("flow start recorded");
+                    let start = self.attr_start[task.0].expect("flow was sent");
                     self.attr_end[task.0] = Some(now);
                     self.comm_intervals.push((start, now));
                     self.timeline.push(TimelineRecord {
@@ -1581,7 +1577,8 @@ impl<'a> Executor<'a> {
     fn sample_until(&mut self, until: VirtualTime) {
         while let Some(at) = self.next_sample.filter(|&at| at <= until) {
             self.sample(at);
-            self.next_sample = self.ticker.as_mut().and_then(|t| t.next_tick(at));
+            self.samples += 1;
+            self.next_sample = self.sample_period.map(|p| at + p);
         }
     }
 
@@ -1658,7 +1655,7 @@ impl<'a> Executor<'a> {
         };
         let meta = &graph.collectives()[ci];
         let now = self.queue.now();
-        let begin = self.collective_begin[ci].take().unwrap_or(now);
+        let begin = self.attr_start[meta.first.0].unwrap_or(now);
         let Some(r) = self.recorder.as_mut() else {
             return;
         };
@@ -1712,40 +1709,27 @@ impl<'a> Executor<'a> {
             TaskKind::Transfer { src, dst, bytes } => {
                 let now = self.queue.now();
                 self.attr_start[task.0] = Some(now);
-                if self.observing {
-                    if let Some(&ci) = self.collective_of_first.get(&task) {
-                        self.collective_begin[ci].get_or_insert(now);
-                    }
+                // A missing path (an injected failure partitioned the
+                // topology, or the endpoints were never connected) ends
+                // the run with a structured error instead of a panic.
+                let t0 = self.profiling.then(Instant::now);
+                let sent = self.network.try_send(now, *src, *dst, *bytes);
+                if let Some(t0) = t0 {
+                    self.net_wall_s += t0.elapsed().as_secs_f64();
+                    self.net_wall_calls += 1;
                 }
-                if self.faults.is_some() {
-                    // Under fault injection a missing path is a runtime
-                    // outcome (an injected failure partitioned the
-                    // topology), not a configuration bug: surface it as
-                    // the run's structured error instead of panicking.
-                    match self.network.try_send(now, *src, *dst, *bytes) {
-                        Ok((flow, cmds)) => {
-                            self.flow_task.insert(flow, task);
-                            self.flow_start.insert(flow, now);
-                            self.apply(cmds);
-                        }
-                        Err(e) => {
-                            self.stop_error = Some(SimError::Partitioned {
-                                src: e.src.0,
-                                dst: e.dst.0,
-                                at_s: now.as_seconds(),
-                            });
-                        }
+                match sent {
+                    Ok((flow, cmds)) => {
+                        self.flow_task.insert(flow, task);
+                        self.apply(cmds);
                     }
-                } else {
-                    let t0 = self.profiling.then(Instant::now);
-                    let (flow, cmds) = self.network.send(now, *src, *dst, *bytes);
-                    if let Some(t0) = t0 {
-                        self.net_wall_s += t0.elapsed().as_secs_f64();
-                        self.net_wall_calls += 1;
+                    Err(e) => {
+                        self.stop_error = Some(SimError::Partitioned {
+                            src: e.src.0,
+                            dst: e.dst.0,
+                            at_s: now.as_seconds(),
+                        });
                     }
-                    self.flow_task.insert(flow, task);
-                    self.flow_start.insert(flow, now);
-                    self.apply(cmds);
                 }
                 None
             }
@@ -1765,7 +1749,6 @@ impl<'a> Executor<'a> {
         let duration = self.dilated(gpu, task, duration);
         self.gpus[gpu].busy = true;
         let now = self.queue.now();
-        self.compute_start[task.0] = Some(now);
         self.attr_start[task.0] = Some(now);
         self.attr_gpu_pred[task.0] = self.last_done[gpu];
         self.pending_real += 1;
@@ -1957,6 +1940,54 @@ mod tests {
     fn zero_iterations_rejected() {
         let g = TaskGraph::new(1);
         execute_iterations(&g, &mut net2(), 0);
+    }
+
+    #[test]
+    fn disconnected_transfer_is_a_typed_partition() {
+        let mut t = Topology::new(3);
+        t.add_duplex(NodeId(0), NodeId(1), 1e9, 0.0);
+        let mut g = TaskGraph::new(1);
+        g.transfer("stranded", NodeId(0), NodeId(2), 1_000, vec![]);
+        let err = run(&g, &mut FlowNetwork::new(t), RunOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Partitioned {
+                src: 0,
+                dst: 2,
+                at_s: 0.0
+            }
+        );
+    }
+
+    /// The event budget admits exactly `max_events` delivered events: a
+    /// limit equal to the plain run's delivered count completes it with
+    /// the plain bytes, and one less trips with that limit. At three
+    /// iterations the first case replays and the second simulates on
+    /// until the trip.
+    #[test]
+    fn event_budget_admits_exactly_the_delivered_events() {
+        use triosim_des::BudgetKind;
+        let g = overlap_graph();
+        let plain = execute_iterations(&g, &mut net2(), 3);
+        let delivered = plain.queue_stats().delivered();
+        let budgeted = |limit: u64| RunOptions {
+            iterations: 3,
+            budget: Some(RunBudget::unlimited().with_max_events(limit)),
+            ..RunOptions::default()
+        };
+        let fits = run(&g, &mut net2(), budgeted(delivered)).expect("the run fits its budget");
+        assert_eq!(fits.to_canonical_string(), plain.to_canonical_string());
+        assert!(
+            fits.replay().is_some(),
+            "a budget the run fits keeps replay on"
+        );
+        assert_eq!(
+            run(&g, &mut net2(), budgeted(delivered - 1)).unwrap_err(),
+            SimError::BudgetExceeded {
+                kind: BudgetKind::Events,
+                limit: delivered - 1
+            }
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::OnceLock;
 
 use serde::Value;
-use triosim_des::{QueueStats, TimeSpan, VirtualTime};
+use triosim_des::{fnv1a, QueueStats, TimeSpan, VirtualTime};
 use triosim_network::{NetObservation, PacketObservation};
 use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
 
@@ -623,22 +623,6 @@ impl SimReport {
     }
 }
 
-/// FNV-1a initial state: the digest of zero timeline records.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The timeline digest is FNV-1a over every record's label, a `0xff`
-/// separator, its track, the bits of its start and end in seconds, and
-/// its layer. Order-sensitive, so any drift in task scheduling — not just
-/// in the aggregate totals — changes the canonical JSON.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Appends the bytes of `r` that do not depend on its time.
 fn record_head(r: &TimelineRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(r.label.as_bytes());
@@ -652,13 +636,19 @@ fn record_head(r: &TimelineRecord, out: &mut Vec<u8>) {
 
 /// Folds the time-dependent rest of a record after its head.
 fn record_tail(h: u64, start: VirtualTime, end: VirtualTime, layer: Option<usize>) -> u64 {
-    let h = fnv(h, &start.as_seconds().to_bits().to_le_bytes());
-    let h = fnv(h, &end.as_seconds().to_bits().to_le_bytes());
-    fnv(h, &layer.map_or(u64::MAX, |l| l as u64).to_le_bytes())
+    let h = fnv1a(h, &start.as_seconds().to_bits().to_le_bytes());
+    let h = fnv1a(h, &end.as_seconds().to_bits().to_le_bytes());
+    fnv1a(h, &layer.map_or(u64::MAX, |l| l as u64).to_le_bytes())
 }
 
 /// Folds timeline records (in the order given, which must be the
-/// canonical `(start, end)` sort order) into a running FNV-1a state.
+/// canonical `(start, end)` sort order) into a running FNV-1a state;
+/// [`FNV_OFFSET`](triosim_des::FNV_OFFSET) is the digest of no records.
+/// Each record contributes its label, a `0xff` separator, its track, the
+/// bits of its start and end in seconds, and its layer. Order-sensitive,
+/// so any drift in task scheduling — not just in the aggregate totals —
+/// changes the canonical JSON.
+///
 /// Because the fold is sequential, a sorted run splits into sorted
 /// segments — each iteration's records — and folding segment by
 /// segment yields the same state as folding the whole run at once.
@@ -672,7 +662,7 @@ where
     records.fold(seed, |h, r| {
         head.clear();
         record_head(r, &mut head);
-        record_tail(fnv(h, &head), r.start, r.end, r.layer)
+        record_tail(fnv1a(h, &head), r.start, r.end, r.layer)
     })
 }
 
@@ -704,7 +694,7 @@ impl ShiftedFold {
     pub(crate) fn fold(&self, h: u64, shift: TimeSpan) -> u64 {
         let mut from = 0;
         self.records.iter().fold(h, |h, &(to, start, end, layer)| {
-            let h = fnv(h, &self.heads[from..to]);
+            let h = fnv1a(h, &self.heads[from..to]);
             from = to;
             record_tail(h, start + shift, end + shift, layer)
         })
@@ -716,34 +706,10 @@ impl ShiftedFold {
     }
 }
 
-/// Merges possibly-overlapping intervals into their union: sorted,
-/// disjoint, with touching intervals coalesced. The union is
-/// associative and idempotent, so pre-merged interval sets (as stored
-/// in checkpoints) fold in without changing any derived length.
-pub(crate) fn merge_intervals(
-    mut intervals: Vec<(VirtualTime, VirtualTime)>,
-) -> Vec<(VirtualTime, VirtualTime)> {
-    intervals.sort();
-    let mut merged: Vec<(VirtualTime, VirtualTime)> = Vec::new();
-    for (s, e) in intervals {
-        match merged.last_mut() {
-            Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    merged
-}
-
-/// Merges possibly-overlapping intervals and returns their union length.
-pub(crate) fn union_length(intervals: Vec<(VirtualTime, VirtualTime)>) -> TimeSpan {
-    merge_intervals(intervals)
-        .into_iter()
-        .fold(TimeSpan::ZERO, |acc, (s, e)| acc + (e - s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triosim_des::{merge_intervals, FNV_OFFSET};
 
     fn t(s: f64) -> VirtualTime {
         VirtualTime::from_seconds(s)
@@ -830,19 +796,23 @@ mod tests {
 
     #[test]
     fn union_of_disjoint_intervals() {
-        let u = union_length(vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
+        let u = merge_intervals(&mut vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
         assert_eq!(u, TimeSpan::from_seconds(2.0));
     }
 
     #[test]
     fn union_of_overlapping_intervals() {
-        let u = union_length(vec![(t(0.0), t(2.0)), (t(1.0), t(3.0)), (t(2.5), t(2.8))]);
+        let u = merge_intervals(&mut vec![
+            (t(0.0), t(2.0)),
+            (t(1.0), t(3.0)),
+            (t(2.5), t(2.8)),
+        ]);
         assert_eq!(u, TimeSpan::from_seconds(3.0));
     }
 
     #[test]
     fn union_of_nothing_is_zero() {
-        assert_eq!(union_length(vec![]), TimeSpan::ZERO);
+        assert_eq!(merge_intervals(&mut vec![]), TimeSpan::ZERO);
     }
 
     #[test]

@@ -328,21 +328,42 @@ impl<'a> SimBuilder<'a> {
         Ok(())
     }
 
-    /// Extrapolates and executes the simulation, surfacing fault-induced
-    /// or budget-induced early termination and invalid fault plans as
-    /// typed errors.
+    /// Rejects pipelines with more stages than the model has layers:
+    /// every stage needs at least one layer. A pipeline has one stage per
+    /// GPU; a hybrid run, one per GPU of each data-parallel group.
+    fn check_stages(&self) -> Result<(), SimError> {
+        let gpus = self.platform.gpu_count();
+        let stages = match self.parallelism {
+            Parallelism::Pipeline { .. } => gpus,
+            Parallelism::Hybrid { dp_groups, .. } => gpus / dp_groups.max(1),
+            _ => return Ok(()),
+        };
+        let layers = self.trace.layer_count();
+        if layers < stages {
+            return Err(SimError::Unsupported(format!(
+                "model has fewer layers ({layers}) than pipeline stages ({stages})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Extrapolates and executes the simulation, surfacing unsupported
+    /// configurations, invalid fault plans, and fault-induced or
+    /// budget-induced early termination as typed errors.
     ///
-    /// Without a fault plan (or with an empty one) and without a budget
-    /// this cannot fail and produces a report bit-identical to
-    /// [`run`](Self::run).
+    /// A supported configuration on a connected platform, without a
+    /// fault plan (or with an empty one) and without a budget, cannot
+    /// fail and produces a report bit-identical to [`run`](Self::run).
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidPlan`] when the fault plan references GPUs,
-    /// nodes, or links the platform does not have (or carries
-    /// out-of-domain values); [`SimError::Partitioned`] /
-    /// [`SimError::GpuLost`] when an injected fault makes the remaining
-    /// work impossible; [`SimError::BudgetExceeded`] when the run blows
+    /// [`SimError::Unsupported`] when a pipeline has more stages than the
+    /// model has layers; [`SimError::InvalidPlan`] when the fault plan
+    /// references GPUs, nodes, or links the platform does not have (or
+    /// carries out-of-domain values); [`SimError::Partitioned`] when a
+    /// transfer's endpoints have no connecting path;
+    /// [`SimError::GpuLost`] when an injected GPU drop-out strands its
+    /// tasks; [`SimError::BudgetExceeded`] when the run blows
     /// an axis of its [`budget`](Self::budget); [`SimError::Checkpoint`]
     /// when a snapshot cannot be written or restored.
     pub fn try_run(self) -> Result<SimReport, SimError> {
@@ -371,11 +392,13 @@ impl<'a> SimBuilder<'a> {
         if !faults.is_empty() {
             self.validate_plan(&faults)?;
         }
+        self.check_stages()?;
         let compute = prof.time("calibration", || self.resolved_compute());
         let graph = prof.time("graph_build", || self.build_graph_with(&compute));
         let mut network = prof.time("network_build", || self.resolved_network());
-        let budget = self.budget.take().unwrap_or_else(RunBudget::unlimited);
-        let (checkpoint, restore) = self.snapshots(&graph, network.as_ref(), &faults, &budget)?;
+        let budget = self.budget.take();
+        let (checkpoint, restore) =
+            self.snapshots(&graph, network.as_ref(), &faults, budget.as_ref())?;
         let opts = RunOptions {
             iterations: self.iterations,
             faults,
@@ -399,7 +422,7 @@ impl<'a> SimBuilder<'a> {
         graph: &TaskGraph,
         network: &dyn NetworkModel,
         faults: &FaultPlan,
-        budget: &RunBudget,
+        budget: Option<&RunBudget>,
     ) -> Result<(Option<CheckpointConfig>, Option<SimSnapshot>), SimError> {
         if self.checkpoint.is_none() && self.restore.is_none() {
             return Ok((None, None));
@@ -443,8 +466,9 @@ impl<'a> SimBuilder<'a> {
     /// # Panics
     ///
     /// Panics on any condition [`try_run`](Self::try_run) reports as an
-    /// error (invalid fault plans, fault-induced partitions or GPU loss).
-    /// Fault-free configurations never panic here.
+    /// error (unsupported configurations, invalid fault plans, partitions
+    /// or GPU loss). Supported fault-free configurations never panic
+    /// here.
     pub fn run(self) -> SimReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -674,6 +698,14 @@ mod tests {
         assert!(plain.replay().is_none(), "faulted runs are never replayed");
         let serial = simulated(faulted(), "faults").expect("a slowdown never fails a run");
         assert_eq!(serial.to_canonical_json(), plain.to_canonical_json());
+    }
+
+    #[test]
+    #[should_panic(expected = "sample period must be positive")]
+    fn zero_sample_period_rejected() {
+        let t = trace();
+        let p = Platform::p2(2);
+        let _ = SimBuilder::new(&t, &p).sample_period(TimeSpan::ZERO);
     }
 
     #[test]

@@ -204,3 +204,92 @@ fn canonical_form_is_sensitive_to_configuration() {
     let b = canonical_report(Parallelism::TensorParallel);
     assert_ne!(a, b);
 }
+
+/// A writer whose bytes stay readable after the sink that owns it is
+/// dropped with the run.
+#[derive(Clone, Default)]
+struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a over `bytes`, as a 16-digit hex string.
+fn digest(bytes: &[u8]) -> String {
+    let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+/// The observed outputs are contracts too: for each quartet
+/// configuration at three iterations, with a progress monitor attached,
+/// the JSONL event log, the Chrome trace and the Prometheus metrics must
+/// hash to the digests committed in `tests/golden/observed.txt`. The
+/// metrics include the monitor's sample count
+/// (`triosim_events_dispatched_total{kind="tick"}`), so the sampling
+/// grid is pinned as well as the events.
+#[test]
+fn golden_quartet_observed_outputs() {
+    use triosim_obs::{ChromeTraceSink, JsonlSink, ProgressMonitor, PrometheusSink, RunRecorder};
+
+    let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
+    let platform = Platform::p2(2);
+    let quartet = [
+        ("dp", Parallelism::DataParallel { overlap: false }),
+        ("ddp", Parallelism::DataParallel { overlap: true }),
+        ("tp", Parallelism::TensorParallel),
+        ("pp", Parallelism::Pipeline { chunks: 2 }),
+    ];
+    let mut actual = String::new();
+    for (name, parallelism) in quartet {
+        let (jsonl, chrome, prom) = (
+            SharedBuf::default(),
+            SharedBuf::default(),
+            SharedBuf::default(),
+        );
+        let mut recorder = RunRecorder::new();
+        recorder.push(Box::new(JsonlSink::new(jsonl.clone())));
+        recorder.push(Box::new(ChromeTraceSink::new(chrome.clone())));
+        recorder.push(Box::new(PrometheusSink::new(prom.clone())));
+        SimBuilder::new(&trace, &platform)
+            .parallelism(parallelism)
+            .iterations(3)
+            .recorder(Box::new(recorder))
+            .progress(ProgressMonitor::with_writer(Box::new(std::io::sink())))
+            .run();
+        for (kind, buf) in [
+            ("jsonl", &jsonl),
+            ("chrome", &chrome),
+            ("prometheus", &prom),
+        ] {
+            let bytes = buf.0.borrow();
+            assert!(!bytes.is_empty(), "`{name}` wrote no {kind} output");
+            actual += &format!("{name} {kind} {}\n", digest(&bytes));
+        }
+    }
+    let path = golden_dir().join("observed.txt");
+    if bless_mode() {
+        std::fs::write(&path, &actual).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden digests {} ({e}); run `TRIOSIM_BLESS=1 cargo test --test golden` \
+             and commit the result",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "\nobserved outputs drifted from their golden digests.\n\
+         If this change is intentional, re-bless with \
+         `TRIOSIM_BLESS=1 cargo test --test golden` and commit the diff.\n"
+    );
+}

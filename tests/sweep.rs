@@ -299,4 +299,34 @@ fn sweep_scenario_matches_direct_simbuilder_run() {
         serde_json::to_string(from_sweep).unwrap(),
         serde_json::to_string(&direct).unwrap()
     );
+
+    // A pipeline with more stages than the model has layers (GPT-2's 15
+    // on 16 GPUs) is a typed `Sim` error in both, before any graph is
+    // built, and never a panic.
+    let spec = SweepSpec::from_json(
+        r#"{ "scenarios": [ { "model": "gpt2", "trace_batch": 16, "gpu": "A100",
+                              "platform": "fat:A100:16:4", "parallelism": "pp:2" } ] }"#,
+    )
+    .unwrap();
+    let outcome = run_sweep(&spec, 1, false).unwrap();
+    assert_eq!(outcome.panicked(), 0);
+    let from_sweep = outcome.results[0].outcome.as_ref().unwrap_err();
+    assert!(
+        matches!(from_sweep, ScenarioError::Sim(_)),
+        "{from_sweep:?}"
+    );
+
+    let trace = Tracer::new(GpuModel::A100).trace(&ModelId::Gpt2.build(16));
+    let platform: Platform = "fat:A100:16:4".parse().unwrap();
+    let direct = SimBuilder::new(&trace, &platform)
+        .parallelism(Parallelism::Pipeline { chunks: 2 })
+        .try_run()
+        .unwrap_err();
+    assert_eq!(
+        direct,
+        triosim::SimError::Unsupported(
+            "model has fewer layers (15) than pipeline stages (16)".to_string()
+        )
+    );
+    assert_eq!(from_sweep.to_string(), direct.to_string());
 }
