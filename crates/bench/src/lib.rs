@@ -190,7 +190,7 @@ impl Summary {
 }
 
 /// Average error percentage across rows.
-pub fn average_error_pct(rows: &[Row]) -> f64 {
+fn average_error_pct(rows: &[Row]) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
@@ -265,47 +265,23 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     default
 }
 
-/// Walks `path` through nested canonical-report JSON objects, panicking
-/// with the full dotted path on a miss — bench binaries treat a missing
-/// field as a harness bug, not a recoverable condition.
-fn canonical_field<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
+/// Reads a float at `path` inside a canonical report, accepting any
+/// numeric JSON variant (the serializer emits counters as unsigned).
+/// Panics with the full dotted path on a miss: figure binaries treat a
+/// missing field as a harness bug, not a recoverable condition.
+pub fn field_f64(v: &Value, path: &[&str]) -> f64 {
     let mut cur = v;
     for key in path {
         cur = cur
             .get(key)
             .unwrap_or_else(|| panic!("canonical report lacks field `{}`", path.join(".")));
     }
-    cur
-}
-
-/// Reads a float at `path` inside a canonical report, accepting any
-/// numeric JSON variant (the serializer emits counters as unsigned).
-pub fn field_f64(v: &Value, path: &[&str]) -> f64 {
-    match canonical_field(v, path) {
+    match cur {
         Value::Float(f) => *f,
         Value::UInt(u) => *u as f64,
         Value::Int(i) => *i as f64,
         other => panic!("field `{}` is not numeric: {other:?}", path.join(".")),
     }
-}
-
-/// Reads an unsigned counter at `path` inside a canonical report.
-pub fn field_u64(v: &Value, path: &[&str]) -> u64 {
-    match canonical_field(v, path) {
-        Value::UInt(u) => *u,
-        Value::Int(i) if *i >= 0 => *i as u64,
-        other => panic!("field `{}` is not a counter: {other:?}", path.join(".")),
-    }
-}
-
-/// Whether a host-dependent performance gate should be *enforced* (hard
-/// assertion) rather than merely recorded: true when the host has at
-/// least `min_cores` cores. Bench binaries with wall-clock or scaling
-/// gates (`bench_sweep`, `bench_fidelity`) share this predicate and
-/// record it as the `gate_armed` summary field; callers AND in any
-/// binary-specific environment overrides on top.
-pub fn gate_armed(min_cores: usize) -> bool {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= min_cores
 }
 
 /// The platform's flow network behind a wrapper that does not claim
@@ -470,13 +446,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(r#""x":1"#));
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
-    }
-
-    #[test]
-    fn gate_arms_on_core_count() {
-        // One core always satisfies the minimum; usize::MAX never does.
-        assert!(gate_armed(1));
-        assert!(!gate_armed(usize::MAX));
     }
 
     #[test]

@@ -154,7 +154,8 @@ proptest! {
 
 /// Failing one ring link mid-run reroutes traffic the long way around
 /// instead of hanging: the run completes, the reroute is counted, and the
-/// detour costs extra hops.
+/// detour costs extra hops. It reroutes whether or not the link comes
+/// back later.
 #[test]
 fn ring_link_failure_reroutes_the_long_way() {
     // Fail the rank1->rank2 link in the middle of the first allreduce step
@@ -172,16 +173,17 @@ fn ring_link_failure_reroutes_the_long_way() {
         .expect("ring DDP has allreduce traffic on rank1->rank2");
     let at_s = (step.start.as_seconds() + step.end.as_seconds()) / 2.0;
     let (src, dst) = ring_link(1);
-    let plan = FaultPlan {
+    let plan = |repair_s| FaultPlan {
         link_failures: vec![LinkFailure {
             src,
             dst,
             at_s,
-            repair_s: None,
+            repair_s,
         }],
         ..FaultPlan::default()
     };
-    let report = run_ddp(&ring(), plan).expect("a ring survives one link failure");
+
+    let report = run_ddp(&ring(), plan(None)).expect("a ring survives one link failure");
     let net = report.network_stats();
     assert_eq!(net.link_faults, 1, "one injected link fault");
     assert!(
@@ -195,6 +197,17 @@ fn ring_link_failure_reroutes_the_long_way() {
     let stats = report.fault_stats().expect("fault accounting attached");
     assert_eq!(stats.link_fails, 1);
     assert_eq!(stats.faults_injected, 1);
+
+    // The link comes back a quarter of the fault-free run later.
+    let repair_s = Some(at_s + baseline.total_time_s() / 4.0);
+    let repaired = run_ddp(&ring(), plan(repair_s)).expect("a repaired link is not fatal");
+    let net = repaired.network_stats();
+    assert!(
+        net.reroutes > 0,
+        "in-flight flows must be rerouted before the repair, got {net:?}"
+    );
+    let stats = repaired.fault_stats().expect("fault accounting attached");
+    assert_eq!((stats.link_fails, stats.link_repairs), (1, 1));
 }
 
 /// A degraded straggler link slows the run down relative to baseline but

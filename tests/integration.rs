@@ -5,6 +5,7 @@
 
 use triosim::{Fidelity, Parallelism, Platform, SimBuilder};
 use triosim_modelzoo::ModelId;
+use triosim_network::{FlowNetwork, ReallocationMode};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 fn trace_of(model: ModelId, batch: u64, gpu: GpuModel) -> Trace {
@@ -46,6 +47,33 @@ fn simulation_is_deterministic() {
     assert_eq!(a.total_time_s(), b.total_time_s());
     assert_eq!(a.bytes_transferred(), b.bytes_transferred());
     assert_eq!(a.timeline().len(), b.timeline().len());
+}
+
+/// The incremental reallocator (the default) must reproduce the
+/// from-scratch `Full` oracle bit for bit at scale: a 64-GPU ResNet-50
+/// DDP ring at the paper's per-GPU batch, compared on every byte of the
+/// canonical report. `crates/network/tests/incremental_equivalence.rs`
+/// covers small scripted topologies; this is the full-pipeline case.
+#[test]
+fn incremental_reallocation_matches_full_on_a_64_gpu_ring() {
+    let gpus = 64;
+    let trace = trace_of(ModelId::ResNet50, 128, GpuModel::A100);
+    let platform: Platform = format!("ring:A100:{gpus}").parse().expect("ring spec");
+    let run = |mode| {
+        let mut net = FlowNetwork::new(platform.topology().clone());
+        net.set_reallocation_mode(mode);
+        let report = SimBuilder::new(&trace, &platform)
+            .parallelism(Parallelism::DataParallel { overlap: true })
+            .global_batch(gpus * 128)
+            .network(Box::new(net))
+            .run();
+        serde_json::to_string(&report.to_canonical_json()).expect("canonical JSON is finite")
+    };
+    assert_eq!(
+        run(ReallocationMode::Incremental),
+        run(ReallocationMode::Full),
+        "incremental and full reallocation produced different reports"
+    );
 }
 
 /// The executor's bytes accounting must match the extrapolated plan.
