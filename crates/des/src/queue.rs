@@ -1,8 +1,7 @@
 //! The core event queue.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::stats::QueueStats;
@@ -59,6 +58,11 @@ impl<E> Ord for Scheduled<E> {
 /// events whenever bandwidth allocations change (see the `triosim-network`
 /// crate).
 ///
+/// Ids are issued consecutively, so which ones are still pending is one
+/// bit each over a window that starts at the oldest pending id: nothing is
+/// hashed per event, and the window's memory follows the events pending
+/// at once, not the events ever scheduled.
+///
 /// # Example
 ///
 /// ```rust
@@ -75,8 +79,14 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    pending: HashSet<u64>,
-    cancelled: HashSet<u64>,
+    /// Pending bits of ids `live_base..next_seq`, 64 per word.
+    live: VecDeque<u64>,
+    /// The id of the first bit in `live`; a multiple of 64.
+    live_base: u64,
+    /// Pending events: the set bits of `live`.
+    pending: usize,
+    /// Cancelled entries still in `heap`.
+    stale: usize,
     now: VirtualTime,
     next_seq: u64,
     stats: QueueStats,
@@ -101,8 +111,10 @@ impl<E> EventQueue<E> {
     pub fn starting_at(origin: VirtualTime) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            live: VecDeque::new(),
+            live_base: 0,
+            pending: 0,
+            stale: 0,
             now: origin,
             next_seq: 0,
             stats: QueueStats::default(),
@@ -143,7 +155,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
+        let word = ((seq - self.live_base) / 64) as usize;
+        if word == self.live.len() {
+            self.live.push_back(0);
+        }
+        self.live[word] |= 1 << (seq % 64);
+        self.pending += 1;
         self.heap.push(Scheduled { time, seq, event });
         self.stats.record_scheduled(self.heap.len());
         EventId(seq)
@@ -165,15 +182,35 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the id was still pending (it will now never be
     /// delivered), `false` if it had already been delivered or cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.pending.remove(&id.0) {
+        if !self.settle(id.0) {
             return false;
         }
-        self.cancelled.insert(id.0);
+        self.stale += 1;
         self.stats.record_cancelled();
-        if self.cancelled.len() >= Self::COMPACT_MIN_CANCELLED
-            && self.cancelled.len() * 2 > self.heap.len()
-        {
+        if self.stale >= Self::COMPACT_MIN_CANCELLED && self.stale * 2 > self.heap.len() {
             self.compact();
+        }
+        true
+    }
+
+    /// Clears `seq`'s pending bit, reporting whether it was set, and
+    /// drops leading words whose ids have all been settled.
+    fn settle(&mut self, seq: u64) -> bool {
+        let Some(off) = seq.checked_sub(self.live_base) else {
+            return false;
+        };
+        let bit = 1 << (off % 64);
+        let Some(word) = self.live.get_mut((off / 64) as usize) else {
+            return false;
+        };
+        if *word & bit == 0 {
+            return false;
+        }
+        *word &= !bit;
+        self.pending -= 1;
+        while self.live.front() == Some(&0) && self.live_base + 64 <= self.next_seq {
+            self.live.pop_front();
+            self.live_base += 64;
         }
         true
     }
@@ -182,17 +219,22 @@ impl<E> EventQueue<E> {
     /// lazily skipping a handful of entries.
     const COMPACT_MIN_CANCELLED: usize = 64;
 
-    /// Rebuilds the heap without its lazily-cancelled entries. Every
-    /// cancelled id is by construction still in the heap (ids leave
-    /// `cancelled` only when their entry surfaces), so the set drains to
-    /// empty and memory stops growing O(cancellations) between pops.
+    /// Whether `seq` is still pending.
+    fn is_live(&self, seq: u64) -> bool {
+        seq.checked_sub(self.live_base).is_some_and(|off| {
+            self.live
+                .get((off / 64) as usize)
+                .is_some_and(|w| w & (1 << (off % 64)) != 0)
+        })
+    }
+
+    /// Rebuilds the heap without its lazily-cancelled entries, so memory
+    /// stops growing O(cancellations) between pops.
     fn compact(&mut self) {
-        let heap = std::mem::take(&mut self.heap);
-        self.heap = heap
-            .into_iter()
-            .filter(|s| !self.cancelled.remove(&s.seq))
-            .collect();
-        debug_assert!(self.cancelled.is_empty(), "compaction must drain cancelled");
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.retain(|s| self.is_live(s.seq));
+        self.heap = heap;
+        self.stale = 0;
         self.stats.record_compaction();
     }
 
@@ -200,10 +242,10 @@ impl<E> EventQueue<E> {
     /// to its timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
         while let Some(Scheduled { time, seq, event }) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
+            if !self.settle(seq) {
+                self.stale -= 1;
                 continue;
             }
-            self.pending.remove(&seq);
             debug_assert!(time >= self.now, "event queue produced out-of-order event");
             self.now = time;
             self.stats.record_delivered();
@@ -216,10 +258,9 @@ impl<E> EventQueue<E> {
     /// popping it.
     pub fn peek_time(&mut self) -> Option<VirtualTime> {
         while let Some(head) = self.heap.peek() {
-            if self.cancelled.contains(&head.seq) {
-                let seq = head.seq;
+            if self.stale > 0 && !self.is_live(head.seq) {
                 self.heap.pop();
-                self.cancelled.remove(&seq);
+                self.stale -= 1;
                 continue;
             }
             return Some(head.time);
@@ -233,7 +274,7 @@ impl<E> EventQueue<E> {
     // `is_empty` takes `&mut self` and cannot match clippy's expected pair.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// True if no event remains to be delivered.
@@ -376,6 +417,21 @@ mod tests {
         assert_eq!(q.len(), 50);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (150..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pending_window_follows_the_events_in_flight() {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            let keep = q.schedule(VirtualTime::from_seconds(i as f64), i);
+            let drop = q.schedule(VirtualTime::from_seconds(i as f64 + 0.5), i);
+            assert!(q.cancel(drop));
+            assert_eq!(q.pop(), Some((VirtualTime::from_seconds(i as f64), i)));
+            assert!(!q.cancel(keep), "delivered ids stay settled");
+            assert!(q.live.len() <= 2, "window of {} words", q.live.len());
+        }
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl fmt::Display for OpClass {
 /// assert_eq!(op.flops, 2.0 * 128.0 * 1024.0 * 1000.0);
 /// assert_eq!(op.output, TensorShape::from([128, 1000]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Operator {
     /// Human-readable operator name, e.g. `layer3.0.conv2`.
     pub name: String,
@@ -119,6 +119,32 @@ pub struct Operator {
     pub weight_bytes: u64,
     /// Output activation shape.
     pub output: TensorShape,
+}
+
+impl Clone for Operator {
+    fn clone(&self) -> Self {
+        Operator {
+            name: self.name.clone(),
+            class: self.class,
+            flops: self.flops,
+            bytes_in: self.bytes_in,
+            bytes_out: self.bytes_out,
+            weight_bytes: self.weight_bytes,
+            output: self.output.clone(),
+        }
+    }
+
+    /// Reuses `self`'s name and shape buffers, so re-shaping one scratch
+    /// operator per trace entry allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.class = source.class;
+        self.flops = source.flops;
+        self.bytes_in = source.bytes_in;
+        self.bytes_out = source.bytes_out;
+        self.weight_bytes = source.weight_bytes;
+        self.output.clone_from(&source.output);
+    }
 }
 
 impl Operator {
@@ -337,26 +363,31 @@ impl Operator {
     ///
     /// Panics if `old_batch` or `new_batch` is zero.
     pub fn with_batch_scaled(&self, old_batch: u64, new_batch: u64) -> Operator {
+        let mut op = self.clone();
+        op.scale_batch(old_batch, new_batch);
+        op
+    }
+
+    /// [`with_batch_scaled`](Self::with_batch_scaled) in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old_batch` or `new_batch` is zero.
+    pub fn scale_batch(&mut self, old_batch: u64, new_batch: u64) {
         assert!(
             old_batch > 0 && new_batch > 0,
             "batch sizes must be positive"
         );
         if old_batch == new_batch || self.class == OpClass::Optimizer {
-            return self.clone();
+            return;
         }
         let ratio = new_batch as f64 / old_batch as f64;
         let scale_bytes = |b: u64| -> u64 { (b as f64 * ratio).round() as u64 };
-        Operator {
-            name: self.name.clone(),
-            class: self.class,
-            flops: self.flops * ratio,
-            bytes_in: scale_bytes(self.bytes_in),
-            bytes_out: scale_bytes(self.bytes_out),
-            weight_bytes: self.weight_bytes,
-            output: self
-                .output
-                .with_batch(((self.output.batch() as f64) * ratio).round().max(1.0) as u64),
-        }
+        self.flops *= ratio;
+        self.bytes_in = scale_bytes(self.bytes_in);
+        self.bytes_out = scale_bytes(self.bytes_out);
+        let batch = ((self.output.batch() as f64) * ratio).round().max(1.0) as u64;
+        self.output.set_batch(batch);
     }
 }
 

@@ -56,8 +56,19 @@ impl fmt::Display for DType {
 /// assert_eq!(act.numel(), 128 * 64 * 56 * 56);
 /// assert_eq!(act.bytes(DType::F32), act.numel() * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct TensorShape(Vec<u64>);
+
+impl Clone for TensorShape {
+    fn clone(&self) -> Self {
+        TensorShape(self.0.clone())
+    }
+
+    /// Reuses `self`'s dimension buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl TensorShape {
     /// Creates a shape from its dimension list.
@@ -103,11 +114,20 @@ impl TensorShape {
     ///
     /// Panics if the shape is rank 0 or `new_batch` is zero.
     pub fn with_batch(&self, new_batch: u64) -> Self {
+        let mut shape = self.clone();
+        shape.set_batch(new_batch);
+        shape
+    }
+
+    /// Replaces the first (batch) dimension in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is rank 0 or `new_batch` is zero.
+    pub fn set_batch(&mut self, new_batch: u64) {
         assert!(!self.0.is_empty(), "cannot rebatch a rank-0 shape");
         assert!(new_batch > 0, "batch must be positive");
-        let mut dims = self.0.clone();
-        dims[0] = new_batch;
-        TensorShape(dims)
+        self.0[0] = new_batch;
     }
 
     /// The first (batch) dimension.

@@ -90,7 +90,9 @@ impl DepTable {
         I: IntoIterator<Item = D>,
         D: IntoIterator<Item = u32>,
     {
-        let mut offsets = vec![0u32];
+        let deps_per_task = deps_per_task.into_iter();
+        let mut offsets = Vec::with_capacity(deps_per_task.size_hint().0 + 1);
+        offsets.push(0u32);
         let mut edges = Vec::new();
         for deps in deps_per_task {
             edges.extend(deps);
@@ -252,9 +254,11 @@ impl AttributionState {
 }
 
 /// Accumulates per-iteration attribution state across a run.
+///
+/// It keeps no labels: [`finish`](Self::finish) reads them from the
+/// caller, which already stores each task's label once.
 #[derive(Debug)]
 pub struct AttributionAccumulator {
-    labels: Vec<String>,
     classes: Vec<TaskClass>,
     deps: DepTable,
     /// Accumulated on-critical-path duration and hit count per task.
@@ -272,13 +276,30 @@ pub struct AttributionAccumulator {
 
 impl AttributionAccumulator {
     /// Creates an accumulator for `gpus` GPUs over the given static task
-    /// structure. `labels`, `classes`, and `deps` must be index-aligned.
-    pub fn new(gpus: usize, labels: Vec<String>, classes: Vec<TaskClass>, deps: DepTable) -> Self {
-        assert_eq!(labels.len(), classes.len());
-        assert_eq!(labels.len(), deps.len());
-        let n = labels.len();
+    /// structure. `classes` and `deps` must be index-aligned.
+    pub fn new(gpus: usize, classes: Vec<TaskClass>, deps: DepTable) -> Self {
+        assert_eq!(classes.len(), deps.len());
+        let n = classes.len();
+        // Size each GPU's interval scratch for the intervals one
+        // iteration pushes, so recording an iteration allocates nothing.
+        let mut compute = vec![0usize; gpus];
+        let mut comm = vec![0usize; gpus];
+        for class in &classes {
+            match *class {
+                TaskClass::Compute { gpu } => compute[gpu] += 1,
+                TaskClass::Comm { src_gpu, dst_gpu } => {
+                    for g in src_gpu
+                        .into_iter()
+                        .chain(dst_gpu.filter(|_| dst_gpu != src_gpu))
+                    {
+                        comm[g] += 1;
+                    }
+                }
+                TaskClass::Sync => {}
+            }
+        }
+        let scratch = |counts: Vec<usize>| counts.into_iter().map(Vec::with_capacity).collect();
         AttributionAccumulator {
-            labels,
             classes,
             deps,
             on_path: vec![(TimeSpan::ZERO, 0); n],
@@ -288,8 +309,8 @@ impl AttributionAccumulator {
             path_comm: TimeSpan::ZERO,
             iterations: 0,
             last_path: Vec::new(),
-            scratch_compute: vec![Vec::new(); gpus],
-            scratch_comm: vec![Vec::new(); gpus],
+            scratch_compute: scratch(compute),
+            scratch_comm: scratch(comm),
         }
     }
 
@@ -302,11 +323,6 @@ impl AttributionAccumulator {
     /// `(task, start, finish)` segments in chronological order.
     pub fn last_path(&self) -> &[(u32, VirtualTime, VirtualTime)] {
         &self.last_path
-    }
-
-    /// Label of task `t` (for sink emission by the caller).
-    pub fn label(&self, t: usize) -> &str {
-        &self.labels[t]
     }
 
     /// Folds one completed iteration into the running totals.
@@ -422,12 +438,12 @@ impl AttributionAccumulator {
         if let Some(seg) = state
             .last_path
             .iter()
-            .find(|seg| seg.task as usize >= self.labels.len())
+            .find(|seg| seg.task as usize >= self.classes.len())
         {
             return Err(format!(
                 "attribution state path references task {} but the graph has {}",
                 seg.task,
-                self.labels.len()
+                self.classes.len()
             ));
         }
         self.on_path.clone_from(&state.on_path);
@@ -561,11 +577,13 @@ impl AttributionAccumulator {
 
     /// Folds the accumulated state into a [`BottleneckReport`].
     ///
-    /// `links` is the network layer's per-link busy accounting (already
-    /// converted by the caller); `lost_compute_s` is the fault layer's
-    /// per-GPU dilation attribution when a fault plan ran.
-    pub fn finish(
+    /// `label(t)` is task `t`'s label; `links` is the network layer's
+    /// per-link busy accounting (already converted by the caller);
+    /// `lost_compute_s` is the fault layer's per-GPU dilation attribution
+    /// when a fault plan ran.
+    pub fn finish<'l>(
         &self,
+        label: impl Fn(usize) -> &'l str,
         mut links: Vec<HotLink>,
         lost_compute_s: Option<&[f64]>,
     ) -> BottleneckReport {
@@ -575,11 +593,10 @@ impl AttributionAccumulator {
             if count == 0 || matches!(self.classes[t], TaskClass::Sync) {
                 continue;
             }
-            let e = by_label.entry(self.labels[t].as_str()).or_insert((
-                TimeSpan::ZERO,
-                0,
-                self.classes[t].kind_str(),
-            ));
+            let e =
+                by_label
+                    .entry(label(t))
+                    .or_insert((TimeSpan::ZERO, 0, self.classes[t].kind_str()));
             e.0 += ticks;
             e.1 += count;
         }
@@ -867,7 +884,6 @@ mod tests {
     /// computes [3,4]. Critical path is the whole chain; g1 has 1s of
     /// exposed comm and 2s idle.
     fn chain_accumulator() -> AttributionAccumulator {
-        let labels = vec!["a".to_string(), "x".to_string(), "b".to_string()];
         let classes = vec![
             TaskClass::Compute { gpu: 0 },
             TaskClass::Comm {
@@ -877,7 +893,11 @@ mod tests {
             TaskClass::Compute { gpu: 1 },
         ];
         let deps = DepTable::new(vec![vec![], vec![0u32], vec![1u32]]);
-        AttributionAccumulator::new(2, labels, classes, deps)
+        AttributionAccumulator::new(2, classes, deps)
+    }
+
+    fn chain_label(t: usize) -> &'static str {
+        ["a", "x", "b"][t]
     }
 
     fn chain_observation<'a>(
@@ -901,7 +921,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         assert_eq!(r.iterations, 1);
         assert!((r.critical_path_s - 4.0).abs() < 1e-12);
         assert!((r.path_compute_s - 3.0).abs() < 1e-12);
@@ -962,7 +982,7 @@ mod tests {
         assert_eq!(replayed.last_path(), serial.last_path());
         assert_eq!(replayed.snapshot(), serial.snapshot());
         let stringify = |acc: &AttributionAccumulator| {
-            serde_json::to_string(&acc.finish(Vec::new(), None).to_value())
+            serde_json::to_string(&acc.finish(chain_label, Vec::new(), None).to_value())
                 .expect("attribution JSON is finite")
         };
         assert_eq!(stringify(&replayed), stringify(&serial));
@@ -980,7 +1000,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         let g0 = r.per_gpu[0];
         let g1 = r.per_gpu[1];
         assert!((g0.compute_s - 2.0).abs() < 1e-12);
@@ -999,7 +1019,7 @@ mod tests {
     fn overlapped_comm_is_hidden_not_exposed() {
         // g0 computes [0,4] while a transfer g0→g1 runs [1,3]: fully
         // overlapped on g0, fully exposed on g1.
-        let labels = vec!["a".to_string(), "x".to_string()];
+        let labels = ["a", "x"];
         let classes = vec![
             TaskClass::Compute { gpu: 0 },
             TaskClass::Comm {
@@ -1008,7 +1028,7 @@ mod tests {
             },
         ];
         let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(2, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(2, classes, deps);
         let start = [Some(t(0.0)), Some(t(1.0))];
         let finish = [Some(t(4.0)), Some(t(3.0))];
         let pred = [None, None];
@@ -1019,7 +1039,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(|t| labels[t], Vec::new(), None);
         assert!((r.per_gpu[0].overlapped_comm_s - 2.0).abs() < 1e-12);
         assert!(r.per_gpu[0].exposed_comm_s.abs() < 1e-12);
         assert!((r.per_gpu[1].exposed_comm_s - 2.0).abs() < 1e-12);
@@ -1031,10 +1051,10 @@ mod tests {
         // Two independent kernels on one GPU: b waits for the stream,
         // not for a dependency. The walk must pass through a via
         // gpu_pred.
-        let labels = vec!["a".to_string(), "b".to_string()];
+        let labels = ["a", "b"];
         let classes = vec![TaskClass::Compute { gpu: 0 }, TaskClass::Compute { gpu: 0 }];
         let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(1, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(1, classes, deps);
         let start = [Some(t(0.0)), Some(t(2.0))];
         let finish = [Some(t(2.0)), Some(t(5.0))];
         let pred = [None, Some(0)];
@@ -1045,7 +1065,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(|t| labels[t], Vec::new(), None);
         assert!((r.critical_path_s - 5.0).abs() < 1e-12);
         assert_eq!(r.top_ops.len(), 2);
         assert_eq!(r.top_ops[0].label, "b");
@@ -1058,7 +1078,7 @@ mod tests {
         let labels: Vec<String> = (0..4).map(|g| format!("k{g}")).collect();
         let classes: Vec<TaskClass> = (0..4).map(|gpu| TaskClass::Compute { gpu }).collect();
         let deps = DepTable::new((0..4).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(4, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(4, classes, deps);
         let start = [Some(t(0.0)), Some(t(0.0)), Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0)), Some(t(1.0)), Some(t(3.0))];
         let pred = [None, None, None, None];
@@ -1069,7 +1089,11 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
+        let r = acc.finish(
+            |t| labels[t].as_str(),
+            Vec::new(),
+            Some(&[0.0, 0.0, 0.0, 2.0]),
+        );
         assert_eq!(r.stragglers.len(), 1);
         assert_eq!(r.stragglers[0].gpu, 3);
         assert!((r.stragglers[0].vs_median - 3.0).abs() < 1e-12);
@@ -1081,7 +1105,7 @@ mod tests {
         let labels: Vec<String> = (0..2).map(|g| format!("k{g}")).collect();
         let classes: Vec<TaskClass> = (0..2).map(|gpu| TaskClass::Compute { gpu }).collect();
         let deps = DepTable::new((0..2).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(2, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(2, classes, deps);
         let start = [Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0))];
         let pred = [None, None];
@@ -1092,7 +1116,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(|t| labels[t].as_str(), Vec::new(), None);
         assert!(r.stragglers.is_empty());
     }
 
@@ -1107,7 +1131,7 @@ mod tests {
                 utilization: 0.0,
             })
             .collect();
-        let r = acc.finish(links, None);
+        let r = acc.finish(chain_label, links, None);
         assert_eq!(r.hottest_links.len(), DEFAULT_TOP_K);
         assert_eq!(r.hottest_links[0].label, "l11");
     }
@@ -1119,7 +1143,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let v = acc.finish(Vec::new(), None).to_value();
+        let v = acc.finish(chain_label, Vec::new(), None).to_value();
         let Value::Object(fields) = v else {
             panic!("expected object")
         };
@@ -1156,7 +1180,7 @@ mod tests {
                 gpu_pred: &pred,
             });
         }
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         assert_eq!(r.iterations, 3);
         assert!((r.critical_path_s - 12.0).abs() < 1e-12);
         assert_eq!(r.top_ops[0].count, 3);

@@ -34,11 +34,17 @@ impl FeatureSet {
 
 /// Maps an operator to regression features under `set`.
 pub fn op_features_with(op: &Operator, set: FeatureSet) -> Vec<f64> {
+    op_feature_array(op, set)[..set.dim()].to_vec()
+}
+
+/// [`op_features_with`] on the stack: the features fill the first
+/// `set.dim()` slots.
+pub(crate) fn op_feature_array(op: &Operator, set: FeatureSet) -> [f64; 5] {
     let f = op.flops / 1e9;
     let b = op.total_bytes() as f64 / 1e9;
     match set {
-        FeatureSet::Linear => vec![1.0, f, b],
-        FeatureSet::Sublinear => vec![1.0, f, b, f.sqrt(), b.sqrt()],
+        FeatureSet::Linear => [1.0, f, b, 0.0, 0.0],
+        FeatureSet::Sublinear => [1.0, f, b, f.sqrt(), b.sqrt()],
     }
 }
 

@@ -6,7 +6,7 @@ use triosim_modelzoo::{OpClass, Operator};
 use triosim_trace::{GpuModel, GpuSpec, OracleGpu};
 
 use crate::calibration::calibration_ops;
-use crate::features::{op_features_with, FeatureSet};
+use crate::features::{op_feature_array, op_features_with, FeatureSet};
 use crate::linreg::LinearRegression;
 
 /// Li's Model for one GPU: a linear regression per operator class.
@@ -91,7 +91,8 @@ impl LisModel {
             .get(&op.class)
             .expect("all classes calibrated");
         let floor = self.spec.kernel_launch_overhead_s;
-        reg.predict(&op_features_with(op, self.features)).max(floor)
+        let x = op_feature_array(op, self.features);
+        reg.predict(&x[..self.features.dim()]).max(floor)
     }
 
     /// Predicts the total time of an operator sequence.

@@ -45,6 +45,7 @@
 mod format;
 mod gpu;
 mod oracle;
+mod sip;
 mod tracer;
 
 pub use format::{
@@ -52,4 +53,5 @@ pub use format::{
 };
 pub use gpu::{GpuModel, GpuSpec, LinkKind};
 pub use oracle::OracleGpu;
+pub use sip::{signed_unit, NoiseHasher};
 pub use tracer::Tracer;

@@ -253,21 +253,21 @@ pub(crate) fn spec_hash(
     h = fnv_u64(h, graph.len() as u64);
     for task in graph.tasks() {
         h = fnv1a(h, task.label.as_bytes());
-        match &task.kind {
+        match task.kind {
             TaskKind::Compute { gpu, duration } => {
                 h = fnv_u64(h, 1);
-                h = fnv_u64(h, *gpu as u64);
+                h = fnv_u64(h, gpu as u64);
                 h = fnv_u64(h, duration.as_femtos());
             }
             TaskKind::Transfer { src, dst, bytes } => {
                 h = fnv_u64(h, 2);
                 h = fnv_u64(h, src.0 as u64);
                 h = fnv_u64(h, dst.0 as u64);
-                h = fnv_u64(h, *bytes);
+                h = fnv_u64(h, bytes);
             }
             TaskKind::Barrier => h = fnv_u64(h, 3),
         }
-        for dep in &task.deps {
+        for dep in task.deps {
             h = fnv_u64(h, dep.0 as u64);
         }
         h = fnv_u64(h, task.layer.map_or(0, |l| 1 + l as u64));

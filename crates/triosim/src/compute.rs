@@ -7,11 +7,9 @@
 //! plus the *reference* policy this reproduction uses as its hardware
 //! stand-in ground truth.
 
-use std::hash::{Hash, Hasher};
-
 use triosim_modelzoo::Operator;
 use triosim_perfmodel::LisModel;
-use triosim_trace::{GpuModel, OracleGpu};
+use triosim_trace::{signed_unit, GpuModel, NoiseHasher, OracleGpu};
 
 use crate::parallelism::Parallelism;
 use crate::platform::Platform;
@@ -168,6 +166,12 @@ impl ComputeModel {
         }
     }
 
+    /// Whether an operator's time depends on the GPU that runs it: only
+    /// the reference policy's board skew and context noise do.
+    pub(crate) fn varies_by_gpu(&self) -> bool {
+        matches!(self, ComputeModel::Reference { .. })
+    }
+
     /// Times one operator on GPU `gpu_index`.
     ///
     /// `measured_s` and `from` describe the operator as it appears in the
@@ -240,11 +244,10 @@ fn board_factor(gpu_index: usize, amp: f64) -> f64 {
     if amp == 0.0 {
         return 0.0;
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    gpu_index.hash(&mut h);
-    0xB0A2Du64.hash(&mut h);
-    let unit = (h.finish() % 10_000) as f64 / 10_000.0;
-    (unit * 2.0 - 1.0) * amp
+    let mut h = NoiseHasher::new();
+    h.write_u64(gpu_index as u64);
+    h.write_u64(0xB0A2D);
+    signed_unit(h.finish(), amp)
 }
 
 /// Deterministic multi-GPU context noise in [-amp, +amp].
@@ -252,12 +255,11 @@ fn context_noise(gpu_index: usize, op: &Operator, amp: f64) -> f64 {
     if amp == 0.0 {
         return 0.0;
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    gpu_index.hash(&mut h);
-    op.name.hash(&mut h);
-    op.flops.to_bits().hash(&mut h);
-    let unit = (h.finish() % 10_000) as f64 / 10_000.0;
-    (unit * 2.0 - 1.0) * amp
+    let mut h = NoiseHasher::new();
+    h.write_u64(gpu_index as u64);
+    h.write_str(&op.name);
+    h.write_u64(op.flops.to_bits());
+    signed_unit(h.finish(), amp)
 }
 
 #[cfg(test)]

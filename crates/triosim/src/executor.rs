@@ -25,10 +25,8 @@ use crate::checkpoint::{
     self, CheckpointConfig, CheckpointError, ExecutorState, FaultState, OutageState, SimSnapshot,
 };
 use crate::error::SimError;
-use crate::report::{
-    timeline_fnv, FaultStats, ShiftedFold, SimReport, TimelineRecord, TimelineStore, TimelineTrack,
-};
-use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
+use crate::report::{timeline_fnv, FaultStats, ShiftedFold, SimReport, Span, TimelineStore};
+use crate::taskgraph::{TaskGraph, TaskId, TaskKind, TaskTable};
 
 #[derive(Debug)]
 enum Event {
@@ -164,6 +162,11 @@ pub(crate) fn run(
             .restore_state(&snap.state.net)
             .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
     }
+    let setup_t = opts
+        .profiler
+        .as_ref()
+        .is_some_and(|p| p.is_enabled())
+        .then(Instant::now);
     let mut ex = Executor::new(graph, network)
         .with_budget(opts.budget)
         .with_observability(opts.recorder, opts.progress, opts.sample_period)
@@ -173,7 +176,19 @@ pub(crate) fn run(
     if let Some(snap) = &opts.restore {
         ex = ex.with_restored_state(completed, &snap.state)?;
     }
+    if let (Some(t0), Some(p)) = (setup_t, ex.selfprof.as_deref_mut()) {
+        p.add_path(&["engine_setup"], t0.elapsed().as_secs_f64(), 1);
+    }
     ex.run(opts.iterations - completed)
+}
+
+/// Whether tasks `a` and `b` write the same record head: label, track
+/// and layer.
+fn same_record_head(tasks: &TaskTable, a: usize, b: usize) -> bool {
+    a == b
+        || (tasks.label(a) == tasks.label(b)
+            && tasks.track(a) == tasks.track(b)
+            && tasks.layer(a) == tasks.layer(b))
 }
 
 /// Maps a topology node to a GPU index under the repo-wide platform
@@ -181,6 +196,58 @@ pub(crate) fn run(
 /// the host, nodes past `1 + gpus` are NICs/spines).
 fn node_gpu(node: NodeId, gpus: usize) -> Option<usize> {
     (node.0 >= 1 && node.0 <= gpus).then(|| node.0 - 1)
+}
+
+/// The flows in flight, each with its task and armed delivery event.
+///
+/// Networks number flows consecutively, so the live ids form a window that
+/// slides forward as flows are delivered: slot `i` holds flow
+/// `base + i`, and delivered slots at the front are dropped. The window
+/// spans the oldest to the newest flow in flight.
+#[derive(Default)]
+struct FlowSlots {
+    base: u64,
+    slots: VecDeque<FlowSlot>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct FlowSlot {
+    task: Option<TaskId>,
+    event: Option<EventId>,
+}
+
+impl FlowSlots {
+    fn insert(&mut self, flow: FlowId, task: TaskId) {
+        if self.slots.is_empty() {
+            self.base = flow.0;
+        }
+        let i = flow
+            .0
+            .checked_sub(self.base)
+            .expect("networks number flows consecutively") as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, FlowSlot::default());
+        }
+        self.slots[i] = FlowSlot {
+            task: Some(task),
+            event: None,
+        };
+    }
+
+    fn get_mut(&mut self, flow: FlowId) -> Option<&mut FlowSlot> {
+        let i = flow.0.checked_sub(self.base)?;
+        self.slots.get_mut(i as usize).filter(|s| s.task.is_some())
+    }
+
+    /// Removes `flow`, returning its task.
+    fn remove(&mut self, flow: FlowId) -> Option<TaskId> {
+        let task = self.get_mut(flow)?.task.take();
+        while self.slots.front().is_some_and(|s| s.task.is_none()) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        task
+    }
 }
 
 struct GpuStream {
@@ -299,13 +366,26 @@ struct Executor<'a> {
     graph: &'a TaskGraph,
     network: &'a mut dyn NetworkModel,
     queue: EventQueue<Event>,
-    indegree: Vec<usize>,
-    dependents: Vec<Vec<TaskId>>,
+    /// Unfinished dependencies per task; reset from `base_indegree` at
+    /// every iteration.
+    indegree: Vec<u32>,
+    base_indegree: Vec<u32>,
+    /// Tasks without dependencies, seeded at every iteration start.
+    roots: Vec<TaskId>,
+    /// Each task's dependents in CSR form, in task order: task `t`'s are
+    /// `dependents[dependents_at[t]..dependents_at[t + 1]]`.
+    dependents_at: Vec<u32>,
+    dependents: Vec<u32>,
+    /// The completion worklist, reused by every `complete`.
+    work: Vec<TaskId>,
     gpus: Vec<GpuStream>,
-    flow_task: HashMap<FlowId, TaskId>,
-    flow_event: HashMap<FlowId, EventId>,
+    flows: FlowSlots,
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
-    timeline: Vec<TimelineRecord>,
+    /// Executed tasks; labels, tracks and layers stay in the graph.
+    timeline: Vec<Span>,
+    /// Timeline spans and transfer intervals one iteration adds.
+    spans_per_iteration: usize,
+    transfers_per_iteration: usize,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
     /// are *not* in `timeline`), plus the index of the first
@@ -365,7 +445,8 @@ struct Executor<'a> {
     replay_wall_s: f64,
     prev_link_busy: Vec<f64>,
     prev_sample_at: VirtualTime,
-    collective_of_last: HashMap<TaskId, usize>,
+    /// Per task, the collective it completes; filled only when observing.
+    collective_of_last: Vec<Option<u32>>,
     // ------- bottleneck attribution (always on: pure virtual-time state) -------
     attr: AttributionAccumulator,
     /// Per-task start/finish times of the current iteration. A compute
@@ -390,25 +471,47 @@ struct Executor<'a> {
     /// Wall-clock seconds spent inside the network model.
     net_wall_s: f64,
     net_wall_calls: u64,
+    /// Wall-clock seconds of the per-iteration timeline sort and digest
+    /// fold, and of the attribution walk.
+    fold_wall_s: f64,
+    attr_wall_s: f64,
 }
 
 impl<'a> Executor<'a> {
     fn new(graph: &'a TaskGraph, network: &'a mut dyn NetworkModel) -> Self {
         let n = graph.len();
         let gpus = graph.gpus();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (i, task) in graph.tasks().iter().enumerate() {
-            indegree[i] = task.deps.len();
-            for d in &task.deps {
-                dependents[d.0].push(TaskId(i));
+        let dep_table =
+            DepTable::new((0..n).map(|i| graph.deps(TaskId(i)).iter().map(|d| d.0 as u32)));
+        let base_indegree: Vec<u32> = (0..n).map(|i| dep_table.deps(i).len() as u32).collect();
+        let roots = (0..n)
+            .filter(|&i| base_indegree[i] == 0)
+            .map(TaskId)
+            .collect();
+        // Reverse the table: count each task's dependents, turn the counts
+        // into start offsets, then fill in task order.
+        let mut dependents_at = vec![0u32; n + 1];
+        for i in 0..n {
+            for &d in dep_table.deps(i) {
+                dependents_at[d as usize + 1] += 1;
             }
         }
-        let labels = graph.tasks().iter().map(|t| t.label.clone()).collect();
-        let classes = graph
-            .tasks()
-            .iter()
-            .map(|t| match t.kind {
+        for i in 0..n {
+            dependents_at[i + 1] += dependents_at[i];
+        }
+        let mut dependents = vec![0u32; dependents_at[n] as usize];
+        for i in 0..n {
+            for &d in dep_table.deps(i) {
+                dependents[dependents_at[d as usize] as usize] = i as u32;
+                dependents_at[d as usize] += 1;
+            }
+        }
+        // Each fill cursor now sits at the next task's start.
+        dependents_at.copy_within(0..n, 1);
+        dependents_at[0] = 0;
+        let table = graph.table();
+        let classes: Vec<TaskClass> = (0..n)
+            .map(|i| match *table.kind(i) {
                 TaskKind::Compute { gpu, .. } => TaskClass::Compute { gpu },
                 TaskKind::Transfer { src, dst, .. } => TaskClass::Comm {
                     src_gpu: node_gpu(src, gpus),
@@ -417,18 +520,24 @@ impl<'a> Executor<'a> {
                 TaskKind::Barrier => TaskClass::Sync,
             })
             .collect();
-        let deps = DepTable::new(
-            graph
-                .tasks()
-                .iter()
-                .map(|t| t.deps.iter().map(|d| d.0 as u32)),
-        );
+        let transfers = classes
+            .iter()
+            .filter(|c| matches!(c, TaskClass::Comm { .. }))
+            .count();
+        let syncs = classes
+            .iter()
+            .filter(|c| matches!(c, TaskClass::Sync))
+            .count();
         Executor {
             graph,
             network,
             queue: EventQueue::new(),
-            indegree,
+            indegree: base_indegree.clone(),
+            base_indegree,
+            roots,
+            dependents_at,
             dependents,
+            work: Vec::new(),
             gpus: (0..graph.gpus())
                 .map(|_| GpuStream {
                     ready: VecDeque::new(),
@@ -436,10 +545,11 @@ impl<'a> Executor<'a> {
                     busy_time: TimeSpan::ZERO,
                 })
                 .collect(),
-            flow_task: HashMap::new(),
-            flow_event: HashMap::new(),
+            flows: FlowSlots::default(),
             comm_intervals: Vec::new(),
             timeline: Vec::new(),
+            spans_per_iteration: n - syncs,
+            transfers_per_iteration: transfers,
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
             completed: 0,
@@ -465,8 +575,8 @@ impl<'a> Executor<'a> {
             replay_wall_s: 0.0,
             prev_link_busy: Vec::new(),
             prev_sample_at: VirtualTime::ZERO,
-            collective_of_last: HashMap::new(),
-            attr: AttributionAccumulator::new(gpus, labels, classes, deps),
+            collective_of_last: Vec::new(),
+            attr: AttributionAccumulator::new(gpus, classes, dep_table),
             attr_start: vec![None; n],
             attr_end: vec![None; n],
             attr_gpu_pred: vec![None; n],
@@ -477,6 +587,8 @@ impl<'a> Executor<'a> {
             profiling: false,
             net_wall_s: 0.0,
             net_wall_calls: 0,
+            fold_wall_s: 0.0,
+            attr_wall_s: 0.0,
         }
     }
 
@@ -504,8 +616,9 @@ impl<'a> Executor<'a> {
             self.sample_period = Some(sample_period);
         }
         if self.observing {
+            self.collective_of_last = vec![None; self.graph.len()];
             for (ci, meta) in self.graph.collectives().iter().enumerate() {
-                self.collective_of_last.insert(meta.last, ci);
+                self.collective_of_last[meta.last.0] = Some(ci as u32);
             }
         }
         self.recorder = recorder;
@@ -738,7 +851,7 @@ impl<'a> Executor<'a> {
         fresh.sort_by_key(|r| (r.start, r.end));
         self.tl_digest = (
             self.tl_digest.0 + fresh.len() as u64,
-            timeline_fnv(self.tl_digest.1, fresh.iter()),
+            timeline_fnv(self.graph.table(), self.tl_digest.1, fresh),
         );
         self.tl_mark = self.timeline.len();
     }
@@ -748,11 +861,10 @@ impl<'a> Executor<'a> {
     /// loop stops with the structured error; completed-iteration state
     /// (`iter_ends`, attribution) remains valid for inspection.
     fn run_iterations(&mut self, iterations: usize) -> Result<(), SimError> {
-        let base_indegree = self.indegree.clone();
         for iter in 0..iterations {
             self.current_iter = self.iter_offset + iter;
             if iter > 0 {
-                self.indegree.clone_from(&base_indegree);
+                self.indegree.copy_from_slice(&self.base_indegree);
                 self.completed = 0;
             }
             self.run_once();
@@ -768,7 +880,9 @@ impl<'a> Executor<'a> {
                 self.current_iter
             );
             self.iter_ends.push(self.queue.now());
+            let t0 = self.profiling.then(Instant::now);
             self.fold_timeline_digest();
+            let t1 = self.profiling.then(Instant::now);
             // Fold the completed iteration into the bottleneck
             // attribution (pure virtual-time state, always on).
             self.attr.record_iteration(&IterationObservation {
@@ -778,6 +892,10 @@ impl<'a> Executor<'a> {
                 finish: &self.attr_end,
                 gpu_pred: &self.attr_gpu_pred,
             });
+            if let (Some(t0), Some(t1)) = (t0, t1) {
+                self.fold_wall_s += (t1 - t0).as_secs_f64();
+                self.attr_wall_s += t1.elapsed().as_secs_f64();
+            }
             if self.observing {
                 let now = self.queue.now();
                 if let Some(r) = self.recorder.as_mut() {
@@ -909,13 +1027,12 @@ impl<'a> Executor<'a> {
             &self.timeline[step.records.clone()],
         );
         let (p, c) = (&prev.counters, &step.counters);
+        let tasks = self.graph.table();
         a.len() == b.len()
             && a.iter().zip(b).all(|(x, y)| {
                 x.start + period == y.start
                     && x.end + period == y.end
-                    && x.track == y.track
-                    && x.layer == y.layer
-                    && x.label == y.label
+                    && same_record_head(tasks, x.task as usize, y.task as usize)
             })
             && prev.comm == step.comm
             && (&p.gpu_busy, p.bytes, p.queue, p.dispatches, &p.net)
@@ -935,7 +1052,7 @@ impl<'a> Executor<'a> {
         period: TimeSpan,
     ) -> Result<(), SimError> {
         let t0 = self.profiling.then(Instant::now);
-        let template = ShiftedFold::new(&self.timeline[step.records.clone()]);
+        let template = ShiftedFold::new(self.graph.table(), &self.timeline[step.records.clone()]);
         let (count, mut fnv) = self.tl_digest;
         for j in 1..=repeats {
             if let Some((kind, limit)) = self.budget.as_ref().and_then(RunBudget::wall_exceeded) {
@@ -1002,7 +1119,14 @@ impl<'a> Executor<'a> {
             }
             None => (records.len(), TimeSpan::ZERO, 0),
         };
-        let timeline = TimelineStore::new(records, template, period, repeats, self.tl_digest);
+        let timeline = TimelineStore::new(
+            self.graph.table().clone(),
+            records,
+            template,
+            period,
+            repeats,
+            self.tl_digest,
+        );
         let mut report = SimReport::new(
             total,
             per_gpu_compute,
@@ -1057,7 +1181,8 @@ impl<'a> Executor<'a> {
                 },
             })
             .collect();
-        self.attr.finish(links, lost)
+        let tasks = self.graph.table();
+        self.attr.finish(|t| tasks.label(t), links, lost)
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1070,9 +1195,13 @@ impl<'a> Executor<'a> {
         let (net_s, net_calls) = (self.net_wall_s, self.net_wall_calls);
         let replayed = self.replayed.as_ref().map(|r| r.repeats as u64);
         let replay_s = self.replay_wall_s;
+        let (fold_s, attr_s) = (self.fold_wall_s, self.attr_wall_s);
+        let folds = self.iter_ends.len() as u64 - self.iter_offset as u64;
         if let Some(p) = self.selfprof.as_deref_mut() {
             p.add_path(&["engine_loop"], engine_s, iterations);
             p.add_path(&["engine_loop", "network"], net_s, net_calls);
+            p.add_path(&["engine_loop", "timeline_fold"], fold_s, folds);
+            p.add_path(&["engine_loop", "attribution"], attr_s, folds);
             if let Some(repeats) = replayed {
                 p.add_path(&["engine_loop", "replay"], replay_s, repeats);
             }
@@ -1219,7 +1348,7 @@ impl<'a> Executor<'a> {
         // spans on a dedicated track, plus the aggregate gauges.
         if let Some(bn) = bottleneck {
             for &(task, s, f) in self.attr.last_path() {
-                let name = self.attr.label(task as usize);
+                let name = self.graph.table().label(task as usize);
                 r.span(
                     "critical_path",
                     name,
@@ -1276,13 +1405,11 @@ impl<'a> Executor<'a> {
         self.attr_end.fill(None);
         self.attr_gpu_pred.fill(None);
         self.last_done.fill(None);
+        self.timeline.reserve(self.spans_per_iteration);
+        self.comm_intervals.reserve(self.transfers_per_iteration);
         // Seed: every task with no dependencies starts immediately.
-        let roots: Vec<TaskId> = (0..self.graph.len())
-            .filter(|&i| self.indegree[i] == 0)
-            .map(TaskId)
-            .collect();
-        for t in roots {
-            self.activate(t);
+        for i in 0..self.roots.len() {
+            self.activate(self.roots[i]);
         }
 
         // The sampling grid restarts with each iteration.
@@ -1330,12 +1457,10 @@ impl<'a> Executor<'a> {
                     self.gpus[gpu].busy_time += now - start;
                     self.attr_end[task.0] = Some(now);
                     self.last_done[gpu] = Some(task.0 as u32);
-                    self.timeline.push(TimelineRecord {
-                        label: self.graph.tasks()[task.0].label.clone(),
-                        track: TimelineTrack::Gpu(gpu),
+                    self.timeline.push(Span {
+                        task: task.0 as u32,
                         start,
                         end: now,
-                        layer: self.graph.tasks()[task.0].layer,
                     });
                     if self.observing {
                         self.record_compute(gpu, task, start, now);
@@ -1346,22 +1471,19 @@ impl<'a> Executor<'a> {
                 Event::FlowDelivered { flow } => {
                     self.pending_real -= 1;
                     self.dispatches[1] += 1;
-                    self.flow_event.remove(&flow);
                     let task = self
-                        .flow_task
-                        .remove(&flow)
+                        .flows
+                        .remove(flow)
                         .expect("delivered flow belongs to a task");
                     let start = self.attr_start[task.0].expect("flow was sent");
                     self.attr_end[task.0] = Some(now);
                     self.comm_intervals.push((start, now));
-                    self.timeline.push(TimelineRecord {
-                        label: self.graph.tasks()[task.0].label.clone(),
-                        track: TimelineTrack::Network,
+                    self.timeline.push(Span {
+                        task: task.0 as u32,
                         start,
                         end: now,
-                        layer: self.graph.tasks()[task.0].layer,
                     });
-                    if let TaskKind::Transfer { bytes, .. } = self.graph.tasks()[task.0].kind {
+                    if let TaskKind::Transfer { bytes, .. } = *self.graph.table().kind(task.0) {
                         self.bytes_transferred += bytes;
                     }
                     if self.observing {
@@ -1523,8 +1645,7 @@ impl<'a> Executor<'a> {
 
     /// Emits the span and metrics for one finished compute task.
     fn record_compute(&mut self, gpu: usize, task: TaskId, start: VirtualTime, now: VirtualTime) {
-        let graph = self.graph;
-        let t = &graph.tasks()[task.0];
+        let t = self.graph.task(task);
         let Some(r) = self.recorder.as_mut() else {
             return;
         };
@@ -1532,12 +1653,12 @@ impl<'a> Executor<'a> {
         match t.layer {
             Some(layer) => r.span(
                 &track,
-                &t.label,
+                t.label,
                 start,
                 now,
                 &[("layer", AttrValue::U64(layer as u64))],
             ),
-            None => r.span(&track, &t.label, start, now, &[]),
+            None => r.span(&track, t.label, start, now, &[]),
         }
         let dur = (now - start).as_seconds();
         r.histogram_record("triosim_operator_duration_seconds", &[], dur);
@@ -1548,8 +1669,7 @@ impl<'a> Executor<'a> {
 
     /// Emits the span and metrics for one delivered transfer.
     fn record_flow(&mut self, task: TaskId, start: VirtualTime, now: VirtualTime) {
-        let graph = self.graph;
-        let t = &graph.tasks()[task.0];
+        let t = self.graph.task(task);
         let TaskKind::Transfer { bytes, .. } = t.kind else {
             return;
         };
@@ -1558,7 +1678,7 @@ impl<'a> Executor<'a> {
         };
         r.span(
             "network",
-            &t.label,
+            t.label,
             start,
             now,
             &[("bytes", AttrValue::U64(bytes))],
@@ -1620,40 +1740,44 @@ impl<'a> Executor<'a> {
     /// Marks `task` complete and activates newly unblocked tasks.
     fn complete(&mut self, task: TaskId) {
         // Worklist to avoid recursion through long barrier chains.
-        let mut work = vec![task];
+        let mut work = std::mem::take(&mut self.work);
+        work.push(task);
         while let Some(t) = work.pop() {
             if self.stop_error.is_some() {
-                return;
+                work.clear();
+                break;
             }
             self.completed += 1;
             if self.observing {
                 self.record_completion(t);
             }
-            for i in 0..self.dependents[t.0].len() {
-                let dep = self.dependents[t.0][i];
-                self.indegree[dep.0] -= 1;
-                if self.indegree[dep.0] == 0 {
-                    if let Some(done_now) = self.activate_inline(dep) {
+            let (from, to) = (self.dependents_at[t.0], self.dependents_at[t.0 + 1]);
+            for i in from as usize..to as usize {
+                let dep = self.dependents[i] as usize;
+                self.indegree[dep] -= 1;
+                if self.indegree[dep] == 0 {
+                    if let Some(done_now) = self.activate_inline(TaskId(dep)) {
                         work.push(done_now);
                     }
                 }
             }
         }
+        self.work = work;
     }
 
     /// Observability bookkeeping for one completed task: barrier counts
     /// and, for a collective's final barrier, the retrospective span.
     fn record_completion(&mut self, task: TaskId) {
         let graph = self.graph;
-        if matches!(graph.tasks()[task.0].kind, TaskKind::Barrier) {
+        if matches!(graph.table().kind(task.0), TaskKind::Barrier) {
             if let Some(r) = self.recorder.as_mut() {
                 r.counter_add("triosim_tasks_executed_total", &[("kind", "barrier")], 1.0);
             }
         }
-        let Some(&ci) = self.collective_of_last.get(&task) else {
+        let Some(ci) = self.collective_of_last[task.0] else {
             return;
         };
-        let meta = &graph.collectives()[ci];
+        let meta = &graph.collectives()[ci as usize];
         let now = self.queue.now();
         let begin = self.attr_start[meta.first.0].unwrap_or(now);
         let Some(r) = self.recorder.as_mut() else {
@@ -1694,7 +1818,7 @@ impl<'a> Executor<'a> {
     /// Starts a task. Barriers complete instantly: the caller receives
     /// them back to cascade completion without recursion.
     fn activate_inline(&mut self, task: TaskId) -> Option<TaskId> {
-        match &self.graph.tasks()[task.0].kind {
+        match *self.graph.table().kind(task.0) {
             TaskKind::Barrier => {
                 let now = self.queue.now();
                 self.attr_start[task.0] = Some(now);
@@ -1702,8 +1826,8 @@ impl<'a> Executor<'a> {
                 Some(task)
             }
             TaskKind::Compute { gpu, .. } => {
-                self.gpus[*gpu].ready.push_back(task);
-                self.try_start_gpu(*gpu);
+                self.gpus[gpu].ready.push_back(task);
+                self.try_start_gpu(gpu);
                 None
             }
             TaskKind::Transfer { src, dst, bytes } => {
@@ -1713,14 +1837,14 @@ impl<'a> Executor<'a> {
                 // topology, or the endpoints were never connected) ends
                 // the run with a structured error instead of a panic.
                 let t0 = self.profiling.then(Instant::now);
-                let sent = self.network.try_send(now, *src, *dst, *bytes);
+                let sent = self.network.try_send(now, src, dst, bytes);
                 if let Some(t0) = t0 {
                     self.net_wall_s += t0.elapsed().as_secs_f64();
                     self.net_wall_calls += 1;
                 }
                 match sent {
                     Ok((flow, cmds)) => {
-                        self.flow_task.insert(flow, task);
+                        self.flows.insert(flow, task);
                         self.apply(cmds);
                     }
                     Err(e) => {
@@ -1743,7 +1867,7 @@ impl<'a> Executor<'a> {
         let Some(task) = self.gpus[gpu].ready.pop_front() else {
             return;
         };
-        let TaskKind::Compute { duration, .. } = self.graph.tasks()[task.0].kind else {
+        let TaskKind::Compute { duration, .. } = *self.graph.table().kind(task.0) else {
             unreachable!("GPU queues hold compute tasks only");
         };
         let duration = self.dilated(gpu, task, duration);
@@ -1776,24 +1900,22 @@ impl<'a> Executor<'a> {
 
     fn apply(&mut self, cmds: Vec<NetCommand>) {
         for cmd in cmds {
-            match cmd {
-                NetCommand::Schedule { flow, at } => {
-                    if let Some(old) = self.flow_event.remove(&flow) {
-                        if self.queue.cancel(old) {
-                            self.pending_real -= 1;
-                        }
-                    }
-                    self.pending_real += 1;
-                    let id = self.queue.schedule(at, Event::FlowDelivered { flow });
-                    self.flow_event.insert(flow, id);
+            let (flow, at) = match cmd {
+                NetCommand::Schedule { flow, at } => (flow, Some(at)),
+                NetCommand::Cancel { flow } => (flow, None),
+            };
+            let Some(slot) = self.flows.get_mut(flow) else {
+                assert!(at.is_none(), "scheduled flow belongs to a task");
+                continue;
+            };
+            if let Some(old) = slot.event.take() {
+                if self.queue.cancel(old) {
+                    self.pending_real -= 1;
                 }
-                NetCommand::Cancel { flow } => {
-                    if let Some(old) = self.flow_event.remove(&flow) {
-                        if self.queue.cancel(old) {
-                            self.pending_real -= 1;
-                        }
-                    }
-                }
+            }
+            if let Some(at) = at {
+                self.pending_real += 1;
+                slot.event = Some(self.queue.schedule(at, Event::FlowDelivered { flow }));
             }
         }
     }
@@ -1802,6 +1924,7 @@ impl<'a> Executor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::TimelineTrack;
     use crate::taskgraph::TaskGraph;
     use triosim_des::TimeSpan;
     use triosim_network::{FlowNetwork, NodeId, Topology};
@@ -1810,6 +1933,25 @@ mod tests {
         let mut t = Topology::new(2);
         t.add_duplex(NodeId(0), NodeId(1), 1e9, 0.0);
         FlowNetwork::new(t)
+    }
+
+    #[test]
+    fn flow_slots_slide_past_delivered_flows() {
+        let mut slots = FlowSlots::default();
+        for (flow, task) in [(5, 0), (6, 1), (7, 2)] {
+            slots.insert(FlowId(flow), TaskId(task));
+        }
+        assert_eq!(slots.remove(FlowId(6)), Some(TaskId(1)));
+        assert_eq!((slots.base, slots.slots.len()), (5, 3), "a gap stays");
+        assert!(slots.get_mut(FlowId(6)).is_none());
+        assert_eq!(slots.remove(FlowId(5)), Some(TaskId(0)));
+        assert_eq!((slots.base, slots.slots.len()), (7, 1));
+        assert!(slots.get_mut(FlowId(4)).is_none());
+        slots.insert(FlowId(9), TaskId(3));
+        assert_eq!(slots.remove(FlowId(7)), Some(TaskId(2)));
+        assert_eq!(slots.remove(FlowId(9)), Some(TaskId(3)));
+        assert!(slots.slots.is_empty());
+        assert_eq!(slots.remove(FlowId(9)), None);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! task DAG eagerly — semantically identical for these workloads (the
 //! plan does not depend on simulated times), and it keeps the executor a
 //! clean, separately testable component.
+//!
+//! Each trace entry's operator is reshaped once (into one reused scratch
+//! operator) and timed once per GPU that runs it, before the per-GPU
+//! loops emit tasks; labels are written straight into the graph's arena.
 
 use triosim_collectives::{
     halving_doubling_all_reduce, ring_all_gather, ring_all_reduce, ring_all_reduce_unsegmented,
@@ -97,6 +101,28 @@ struct Extrapolator<'a> {
     style: CollectiveStyle,
 }
 
+/// Operator times per `(trace entry, GPU)`, for the pairs a plan runs.
+struct Durations {
+    gpus: usize,
+    times: Vec<TimeSpan>,
+}
+
+impl Durations {
+    fn get(&self, entry: usize, gpu: usize) -> TimeSpan {
+        self.times[entry * self.gpus + gpu]
+    }
+}
+
+/// One GPipe schedule as [`Extrapolator::build_gpipe`] lays it out.
+struct Gpipe {
+    /// Layers per stage.
+    stages: Vec<Vec<usize>>,
+    /// Per stage, the completion task of every micro-batch's backward.
+    bwd_done: Vec<Vec<TaskId>>,
+    /// Operator times of every entry on its stage's GPU.
+    times: Durations,
+}
+
 impl Extrapolator<'_> {
     fn gpus(&self) -> usize {
         self.platform.gpu_count()
@@ -122,45 +148,84 @@ impl Extrapolator<'_> {
         scaled.bytes_in
     }
 
+    /// An empty duration table for this trace on every GPU.
+    fn durations(&self) -> Durations {
+        let gpus = self.gpus();
+        Durations {
+            gpus,
+            times: vec![TimeSpan::ZERO; self.trace.entries().len() * gpus],
+        }
+    }
+
+    /// Times trace entry `ei` on each GPU of `gpus` into `out`, reshaping
+    /// its operator once: `shape` turns `scratch`, a copy of the traced
+    /// operator, into the operator that executes. Only the reference
+    /// tier's board skew and context noise differ between GPUs, so the
+    /// other policies time the operator once.
+    fn time_entry(
+        &self,
+        out: &mut Durations,
+        scratch: &mut Operator,
+        ei: usize,
+        gpus: impl IntoIterator<Item = usize>,
+        shape: impl FnOnce(&mut Operator),
+    ) {
+        let entry = &self.trace.entries()[ei];
+        scratch.clone_from(&entry.op);
+        shape(scratch);
+        let mut shared = None;
+        for gpu in gpus {
+            let t = match shared {
+                Some(t) if !self.compute.varies_by_gpu() => t,
+                _ => self.op_duration(entry, scratch, gpu),
+            };
+            shared = Some(t);
+            out.times[ei * out.gpus + gpu] = t;
+        }
+    }
+
     /// Times one trace entry after rescaling its operator to `to`.
     fn op_duration(&self, entry: &TraceEntry, to: &Operator, gpu: usize) -> TimeSpan {
         let s = self.compute.op_time_s(entry.time_s, &entry.op, to, gpu);
         TimeSpan::from_seconds(s.max(0.0))
     }
 
-    /// Appends a compute task for `entry` rescaled to batch `batch` on
-    /// `gpu`, chained after `dep`.
+    /// A scratch operator for [`time_entry`](Self::time_entry).
+    fn scratch(&self) -> Operator {
+        self.trace.entries()[0].op.clone()
+    }
+
+    /// Appends the compute task of entry `ei` on `gpu`, timed by `times`
+    /// and chained after `dep`.
     fn compute_task(
         &self,
         g: &mut TaskGraph,
-        entry: &TraceEntry,
-        batch: u64,
+        times: &Durations,
+        ei: usize,
         gpu: usize,
-        dep: Option<TaskId>,
+        dep: TaskId,
     ) -> TaskId {
-        let to = entry.op.with_batch_scaled(self.trace.batch(), batch);
-        let duration = self.op_duration(entry, &to, gpu);
+        let entry = &self.trace.entries()[ei];
         g.compute_in_layer(
-            format!("{}@g{}", entry.op.name, gpu),
+            format_args!("{}@g{}", entry.op.name, gpu),
             gpu,
-            duration,
-            dep.into_iter().collect(),
+            times.get(ei, gpu),
+            [dep],
             entry.layer,
         )
     }
 
     /// Emits a collective schedule as transfer tasks with per-step
-    /// barriers. `deps[r]` gates rank `r`'s first-step sends; returns the
+    /// barriers. `dep(r)` gates rank `r`'s first-step sends; returns the
     /// final barrier. Ranks map to GPUs 0..n in order.
     fn collective(
         &self,
         g: &mut TaskGraph,
-        label: &str,
+        label: String,
         schedule: &CollectiveSchedule,
-        deps: &[TaskId],
+        dep: impl Fn(usize) -> Option<TaskId>,
     ) -> TaskId {
-        let identity: Vec<usize> = (0..schedule.ranks()).collect();
-        self.collective_mapped(g, label, schedule, deps, &identity)
+        self.collective_mapped(g, label, schedule, dep, |r| r)
     }
 
     /// [`collective`](Self::collective) with an explicit rank-to-GPU map
@@ -169,39 +234,34 @@ impl Extrapolator<'_> {
     fn collective_mapped(
         &self,
         g: &mut TaskGraph,
-        label: &str,
+        label: String,
         schedule: &CollectiveSchedule,
-        deps: &[TaskId],
-        gpu_map: &[usize],
+        dep: impl Fn(usize) -> Option<TaskId>,
+        gpu_of: impl Fn(usize) -> usize,
     ) -> TaskId {
         let mut prev_step: Option<TaskId> = None;
         let mut first_send: Option<TaskId> = None;
         for (si, step) in schedule.steps().iter().enumerate() {
-            let mut sends = Vec::with_capacity(step.len());
+            // A step's sends get consecutive ids; its barrier joins them.
+            let sends = g.len();
             for t in step {
-                let mut task_deps: Vec<TaskId> = Vec::new();
-                if let Some(b) = prev_step {
-                    task_deps.push(b);
-                } else if let Some(&d) = deps.get(t.src.0) {
-                    task_deps.push(d);
-                }
-                let src = self.platform.gpu_node(gpu_map[t.src.0]);
-                let dst = self.platform.gpu_node(gpu_map[t.dst.0]);
+                let src = self.platform.gpu_node(gpu_of(t.src.0));
+                let dst = self.platform.gpu_node(gpu_of(t.dst.0));
                 let id = g.transfer(
-                    format!("{label}.s{si}.{}->{}", t.src, t.dst),
+                    format_args!("{label}.s{si}.{}->{}", t.src, t.dst),
                     src,
                     dst,
                     t.bytes,
-                    task_deps,
+                    prev_step.or_else(|| dep(t.src.0)),
                 );
                 first_send.get_or_insert(id);
-                sends.push(id);
             }
-            prev_step = Some(g.barrier(format!("{label}.s{si}.done"), sends));
+            let sends = (sends..g.len()).map(TaskId);
+            prev_step = Some(g.barrier(format_args!("{label}.s{si}.done"), sends));
         }
         let done = prev_step.expect("collective schedules have at least one step");
         g.register_collective(CollectiveMeta {
-            label: label.to_string(),
+            label,
             algorithm: schedule.kind().name(),
             payload_bytes: schedule.payload_bytes(),
             participants: schedule.ranks(),
@@ -224,15 +284,25 @@ impl Extrapolator<'_> {
         let mut g = TaskGraph::new(n);
         let host = self.platform.host_node();
 
+        // Every replica runs every entry at the per-GPU batch size.
+        let mut times = self.durations();
+        let mut scratch = self.scratch();
+        for ei in 0..self.trace.entries().len() {
+            self.time_entry(&mut times, &mut scratch, ei, 0..n, |op| {
+                op.scale_batch(self.trace.batch(), per_gpu);
+            });
+        }
+
         // Host ships each GPU its input slice.
+        let input = self.input_bytes(per_gpu);
         let inputs: Vec<TaskId> = (0..n)
             .map(|gpu| {
                 g.transfer(
-                    format!("h2d.input@g{gpu}"),
+                    format_args!("h2d.input@g{gpu}"),
                     host,
                     self.platform.gpu_node(gpu),
-                    self.input_bytes(per_gpu),
-                    vec![],
+                    input,
+                    None,
                 )
             })
             .collect();
@@ -240,29 +310,17 @@ impl Extrapolator<'_> {
         // Forward + backward chains, replicated per GPU at the per-GPU
         // batch size. Track where each layer's backward finishes.
         let mut bwd_done: Vec<Vec<Option<TaskId>>> = vec![vec![None; self.layers.len()]; n];
-        let mut cursors: Vec<TaskId> = inputs.clone();
+        let mut cursors: Vec<TaskId> = inputs;
         for gpu in 0..n {
             let mut cursor = cursors[gpu];
             for l in &self.layers {
                 for &ei in &l.fwd {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, &times, ei, gpu, cursor);
                 }
             }
             for l in self.layers.iter().rev() {
                 for &ei in &l.bwd {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, &times, ei, gpu, cursor);
                 }
                 bwd_done[gpu][l.index] = Some(cursor);
             }
@@ -275,7 +333,7 @@ impl Extrapolator<'_> {
         let total_grads: u64 = self.layers.iter().map(|l| l.param_bytes).sum();
         let sync_done = if n == 1 || is_inference || total_grads == 0 {
             // Single GPU or inference: nothing to synchronize.
-            g.barrier("no-sync", cursors.clone())
+            g.barrier("no-sync", cursors.iter().copied())
         } else if overlap {
             // DDP: bucketed AllReduce, each kicked off as soon as the
             // bucket's last layer finishes backward; buckets serialize on
@@ -285,28 +343,25 @@ impl Extrapolator<'_> {
             let mut last = None;
             for (bi, bucket) in buckets.iter().enumerate() {
                 let ready_layer = bucket.ready_after_layer();
-                let mut deps: Vec<TaskId> = (0..n)
+                let deps = (0..n)
                     .map(|gpu| bwd_done[gpu][ready_layer].expect("layer has backward"))
-                    .collect();
-                if let Some(prev) = last {
-                    deps.push(prev);
-                }
-                let gate = g.barrier(format!("ddp.bucket{bi}.ready"), deps);
+                    .chain(last);
+                let gate = g.barrier(format_args!("ddp.bucket{bi}.ready"), deps);
                 let sched = self.all_reduce(n, bucket.bytes);
                 last = Some(self.collective(
                     &mut g,
-                    &format!("ddp.bucket{bi}.allreduce"),
+                    format!("ddp.bucket{bi}.allreduce"),
                     &sched,
-                    &vec![gate; n],
+                    |_| Some(gate),
                 ));
             }
-            last.unwrap_or_else(|| g.barrier("no-grads", cursors.clone()))
+            last.unwrap_or_else(|| g.barrier("no-grads", cursors.iter().copied()))
         } else {
             // Standard DataParallel: one AllReduce after the full
             // backward pass of every replica.
-            let gate = g.barrier("dp.bwd.done", cursors.clone());
+            let gate = g.barrier("dp.bwd.done", cursors.iter().copied());
             let sched = self.all_reduce(n, total_grads);
-            self.collective(&mut g, "dp.allreduce", &sched, &vec![gate; n])
+            self.collective(&mut g, "dp.allreduce".to_string(), &sched, |_| Some(gate))
         };
 
         // Optimizer step on every replica.
@@ -314,13 +369,7 @@ impl Extrapolator<'_> {
             let mut cursor = sync_done;
             for l in &self.layers {
                 for &ei in &l.opt {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, &times, ei, gpu, cursor);
                 }
             }
         }
@@ -335,73 +384,70 @@ impl Extrapolator<'_> {
         let mut g = TaskGraph::new(n);
         let host = self.platform.host_node();
 
+        // Forward and backward operators run at the full batch, sharded
+        // 1/n where their layer splits. Each GPU updates its own shard of
+        // the optimizer state: 1/n of splittable layers' parameters, a
+        // full copy of replicated layers.
+        let mut times = self.durations();
+        let mut scratch = self.scratch();
+        for l in &self.layers {
+            for &ei in l.fwd.iter().chain(&l.bwd) {
+                self.time_entry(&mut times, &mut scratch, ei, 0..n, |op| {
+                    op.scale_batch(self.trace.batch(), global_batch);
+                    if l.tp_splittable && shards_under_tp(op.class) {
+                        shard_op(op, n);
+                    }
+                });
+            }
+            for &ei in &l.opt {
+                self.time_entry(&mut times, &mut scratch, ei, 0..n, |op| {
+                    if l.tp_splittable {
+                        scale_op(op, 1.0 / n as f64);
+                    }
+                });
+            }
+        }
+
         // Every GPU sees the full batch: the host broadcasts the input.
-        let inputs: Vec<TaskId> = (0..n)
+        let input = self.input_bytes(global_batch);
+        let mut cursors: Vec<TaskId> = (0..n)
             .map(|gpu| {
                 g.transfer(
-                    format!("h2d.input@g{gpu}"),
+                    format_args!("h2d.input@g{gpu}"),
                     host,
                     self.platform.gpu_node(gpu),
-                    self.input_bytes(global_batch),
-                    vec![],
+                    input,
+                    None,
                 )
             })
             .collect();
 
-        let mut cursors = inputs;
-
         // Forward: splittable layers shard compute then AllGather the
         // partial outputs; other layers run replicated.
         for l in &self.layers {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.fwd {
-                    let entry = &self.trace.entries()[ei];
-                    let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, &times, ei, gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
             if l.tp_splittable && l.output_bytes > 0 {
                 let out = scaled_bytes(l.output_bytes, self.trace.batch(), global_batch);
                 let sched = ring_all_gather(n, out.max(1));
-                let done = self.collective(
-                    &mut g,
-                    &format!("tp.l{}.allgather", l.index),
-                    &sched,
-                    &cursors,
-                );
-                cursors = vec![done; n];
+                let done =
+                    self.collective(&mut g, format!("tp.l{}.allgather", l.index), &sched, |r| {
+                        cursors.get(r).copied()
+                    });
+                cursors.fill(done);
             }
         }
 
         // Backward: mirrored; splittable layers AllReduce the gradient of
         // their input activation.
         for l in self.layers.iter().rev() {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.bwd {
-                    let entry = &self.trace.entries()[ei];
-                    let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, &times, ei, gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
             if l.tp_splittable {
                 let input_bytes = self
@@ -414,52 +460,24 @@ impl Extrapolator<'_> {
                     let sched = ring_all_reduce(n, bytes.max(1));
                     let done = self.collective(
                         &mut g,
-                        &format!("tp.l{}.grad.allreduce", l.index),
+                        format!("tp.l{}.grad.allreduce", l.index),
                         &sched,
-                        &cursors,
+                        |r| cursors.get(r).copied(),
                     );
-                    cursors = vec![done; n];
+                    cursors.fill(done);
                 }
             }
         }
 
-        // Optimizer: each GPU updates its own shard (1/n of splittable
-        // layers' parameters, full copy of replicated layers).
+        // Optimizer: each GPU updates its own shard.
         for l in &self.layers {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.opt {
-                    let entry = &self.trace.entries()[ei];
-                    let to = if l.tp_splittable {
-                        scale_op(&entry.op, 1.0 / n as f64)
-                    } else {
-                        entry.op.clone()
-                    };
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, &times, ei, gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
         }
         g
-    }
-
-    /// Shapes a TP operator: batch-rescaled, and sharded 1/n if its layer
-    /// splits.
-    fn tp_shape(&self, entry: &TraceEntry, batch: u64, splittable: bool, n: usize) -> Operator {
-        let rescaled = entry.op.with_batch_scaled(self.trace.batch(), batch);
-        if splittable && shards_under_tp(entry.op.class) {
-            shard_op(&rescaled, n)
-        } else {
-            rescaled
-        }
     }
 
     // ---------------- pipeline parallelism ----------------
@@ -469,21 +487,18 @@ impl Extrapolator<'_> {
         let mut g = TaskGraph::new(n);
         let gpu_map: Vec<usize> = (0..n).collect();
         let micro = Self::micro_batch(mini_batch, chunks);
-        let (stages, bwd_done) = self.build_gpipe(&mut g, micro, chunks, &gpu_map, "pp");
+        let pipe = self.build_gpipe(&mut g, micro, chunks, &gpu_map, "pp");
 
         // Optimizer: each stage updates its own layers once its backward
         // micro-batches are done.
-        for (s, stage_layers) in stages.iter().enumerate() {
-            let mut cursor = g.barrier(format!("pp.s{s}.bwd.done"), bwd_done[s].clone());
+        for (s, stage_layers) in pipe.stages.iter().enumerate() {
+            let mut cursor = g.barrier(
+                format_args!("pp.s{s}.bwd.done"),
+                pipe.bwd_done[s].iter().copied(),
+            );
             for &li in stage_layers {
                 for &ei in &self.layers[li].opt {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        micro,
-                        s,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, &pipe.times, ei, s, cursor);
                 }
             }
         }
@@ -501,8 +516,8 @@ impl Extrapolator<'_> {
     }
 
     /// Builds one GPipe schedule over `gpu_map` (stage s runs on GPU
-    /// `gpu_map[s]`). Returns the stage->layers assignment and, per
-    /// stage, the completion tasks of every micro-batch's backward.
+    /// `gpu_map[s]`), and times every entry, optimizer steps included, on
+    /// its stage's GPU at the micro-batch size.
     fn build_gpipe(
         &self,
         g: &mut TaskGraph,
@@ -510,10 +525,23 @@ impl Extrapolator<'_> {
         chunks: u64,
         gpu_map: &[usize],
         tag: &str,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<TaskId>>) {
+    ) -> Gpipe {
         let n = gpu_map.len();
         let stages = self.assign_stages(n);
         let host = self.platform.host_node();
+
+        let mut times = self.durations();
+        let mut scratch = self.scratch();
+        for (s, stage_layers) in stages.iter().enumerate() {
+            for &li in stage_layers {
+                let l = &self.layers[li];
+                for &ei in l.fwd.iter().chain(&l.bwd).chain(&l.opt) {
+                    self.time_entry(&mut times, &mut scratch, ei, [gpu_map[s]], |op| {
+                        op.scale_batch(self.trace.batch(), micro);
+                    });
+                }
+            }
+        }
 
         // Forward: micro-batches flow through the stages.
         // fwd_done[stage][chunk] = completion task. Each stage processes
@@ -521,21 +549,20 @@ impl Extrapolator<'_> {
         // chunk c+1's first operator additionally depends on chunk c's
         // last — otherwise the per-GPU FIFO would round-robin the chunks
         // and delay every downstream stage until the whole stage drained.
-        let mut fwd_done: Vec<Vec<Option<TaskId>>> = vec![vec![None; chunks as usize]; n];
+        let input = self.input_bytes(micro);
         let mut prev_chunk: Vec<Option<TaskId>> = vec![None; n];
         let mut all_fwd: Vec<TaskId> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
         for c in 0..chunks as usize {
             let mut carry: Option<TaskId> = None;
             for (s, stage_layers) in stages.iter().enumerate() {
                 // Activations (or host input for stage 0) arrive first.
                 let arrive = if s == 0 {
                     g.transfer(
-                        format!("{tag}.h2d.input.c{c}"),
+                        format_args!("{tag}.h2d.input.c{c}"),
                         host,
                         self.platform.gpu_node(gpu_map[0]),
-                        self.input_bytes(micro),
-                        vec![],
+                        input,
+                        None,
                     )
                 } else {
                     let prev_out = stages[s - 1]
@@ -544,29 +571,23 @@ impl Extrapolator<'_> {
                         .unwrap_or(0);
                     let bytes = scaled_bytes(prev_out, self.trace.batch(), micro).max(1);
                     g.transfer(
-                        format!("{tag}.act.c{c}.s{}to{}", s - 1, s),
+                        format_args!("{tag}.act.c{c}.s{}to{}", s - 1, s),
                         self.platform.gpu_node(gpu_map[s - 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
-                        carry.into_iter().collect(),
+                        carry,
                     )
                 };
-                let mut deps = vec![arrive];
-                deps.extend(prev_chunk[s]);
-                let gate = g.barrier(format!("{tag}.fwd.c{c}.s{s}.start"), deps);
+                let gate = g.barrier(
+                    format_args!("{tag}.fwd.c{c}.s{s}.start"),
+                    std::iter::once(arrive).chain(prev_chunk[s]),
+                );
                 let mut cursor = gate;
                 for &li in stage_layers {
                     for &ei in &self.layers[li].fwd {
-                        cursor = self.compute_task(
-                            g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu_map[s],
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(g, &times, ei, gpu_map[s], cursor);
                     }
                 }
-                fwd_done[s][c] = Some(cursor);
                 prev_chunk[s] = Some(cursor);
                 all_fwd.push(cursor);
                 carry = Some(cursor);
@@ -575,7 +596,7 @@ impl Extrapolator<'_> {
 
         // GPipe flush: backward begins after every forward micro-batch
         // completes.
-        let flush = g.barrier(format!("{tag}.flush"), all_fwd);
+        let flush = g.barrier(format_args!("{tag}.flush"), all_fwd);
 
         // Backward: micro-batches drain in reverse stage order, each
         // stage again processing chunks strictly in (reverse) order.
@@ -595,26 +616,21 @@ impl Extrapolator<'_> {
                         .unwrap_or(0);
                     let bytes = scaled_bytes(out_bytes, self.trace.batch(), micro).max(1);
                     g.transfer(
-                        format!("{tag}.grad.c{c}.s{}to{}", s + 1, s),
+                        format_args!("{tag}.grad.c{c}.s{}to{}", s + 1, s),
                         self.platform.gpu_node(gpu_map[s + 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
-                        carry.into_iter().collect(),
+                        carry,
                     )
                 };
-                let mut deps = vec![arrive];
-                deps.extend(prev_chunk[s]);
-                let gate = g.barrier(format!("{tag}.bwd.c{c}.s{s}.start"), deps);
+                let gate = g.barrier(
+                    format_args!("{tag}.bwd.c{c}.s{s}.start"),
+                    std::iter::once(arrive).chain(prev_chunk[s]),
+                );
                 let mut cursor = gate;
                 for &li in stages[s].iter().rev() {
                     for &ei in &self.layers[li].bwd {
-                        cursor = self.compute_task(
-                            g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu_map[s],
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(g, &times, ei, gpu_map[s], cursor);
                     }
                 }
                 bwd_done[s][c] = Some(cursor);
@@ -632,7 +648,11 @@ impl Extrapolator<'_> {
                     .collect()
             })
             .collect();
-        (stages, bwd_done)
+        Gpipe {
+            stages,
+            bwd_done,
+            times,
+        }
     }
 
     // ---------------- hybrid (data x pipeline) parallelism ----------------
@@ -664,54 +684,43 @@ impl Extrapolator<'_> {
 
         // Build one pipeline per group. Group gr owns GPUs
         // gr*stages .. (gr+1)*stages-1.
-        let mut group_builds = Vec::with_capacity(dp_groups);
+        let mut groups = Vec::with_capacity(dp_groups);
         for gr in 0..dp_groups {
             let gpu_map: Vec<usize> = (0..stages_per_group)
                 .map(|s| gr * stages_per_group + s)
                 .collect();
-            let build = self.build_gpipe(&mut g, micro, chunks, &gpu_map, &format!("hp{gr}"));
-            group_builds.push(build);
+            groups.push(self.build_gpipe(&mut g, micro, chunks, &gpu_map, &format!("hp{gr}")));
         }
-        let stages = group_builds[0].0.clone();
 
         // Per-stage gradient AllReduce across groups, then optimizers.
-        for (s, stage_layers) in stages.iter().enumerate() {
+        for (s, stage_layers) in groups[0].stages.iter().enumerate() {
             let grad_bytes: u64 = stage_layers
                 .iter()
                 .map(|&li| self.layers[li].param_bytes)
                 .sum();
             // Every group's backward for this stage must finish.
-            let deps: Vec<TaskId> = group_builds
-                .iter()
-                .flat_map(|(_, bwd)| bwd[s].iter().copied())
-                .collect();
-            let gate = g.barrier(format!("hp.s{s}.bwd.done"), deps);
+            let gate = g.barrier(
+                format_args!("hp.s{s}.bwd.done"),
+                groups.iter().flat_map(|p| p.bwd_done[s].iter().copied()),
+            );
             let sync = if grad_bytes > 0 {
                 let sched = self.all_reduce(dp_groups, grad_bytes);
-                let gpu_map: Vec<usize> =
-                    (0..dp_groups).map(|gr| gr * stages_per_group + s).collect();
                 self.collective_mapped(
                     &mut g,
-                    &format!("hp.s{s}.allreduce"),
+                    format!("hp.s{s}.allreduce"),
                     &sched,
-                    &vec![gate; dp_groups],
-                    &gpu_map,
+                    |_| Some(gate),
+                    |gr| gr * stages_per_group + s,
                 )
             } else {
                 gate
             };
-            for gr in 0..dp_groups {
+            for (gr, pipe) in groups.iter().enumerate() {
                 let gpu = gr * stages_per_group + s;
                 let mut cursor = sync;
                 for &li in stage_layers {
                     for &ei in &self.layers[li].opt {
-                        cursor = self.compute_task(
-                            &mut g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu,
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(&mut g, &pipe.times, ei, gpu, cursor);
                     }
                 }
             }
@@ -776,30 +785,19 @@ fn shards_under_tp(class: OpClass) -> bool {
 
 /// Shards an operator 1/n for tensor parallelism: compute, weights, and
 /// produced activation split; consumed activation stays whole.
-fn shard_op(op: &Operator, n: usize) -> Operator {
+fn shard_op(op: &mut Operator, n: usize) {
     let f = 1.0 / n as f64;
-    Operator {
-        name: op.name.clone(),
-        class: op.class,
-        flops: op.flops * f,
-        bytes_in: op.bytes_in,
-        bytes_out: ((op.bytes_out as f64) * f).round().max(1.0) as u64,
-        weight_bytes: ((op.weight_bytes as f64) * f).round() as u64,
-        output: op.output.clone(),
-    }
+    op.flops *= f;
+    op.bytes_out = ((op.bytes_out as f64) * f).round().max(1.0) as u64;
+    op.weight_bytes = ((op.weight_bytes as f64) * f).round() as u64;
 }
 
 /// Uniformly scales an operator's compute and bytes (optimizer shards).
-fn scale_op(op: &Operator, f: f64) -> Operator {
-    Operator {
-        name: op.name.clone(),
-        class: op.class,
-        flops: op.flops * f,
-        bytes_in: ((op.bytes_in as f64) * f).round().max(1.0) as u64,
-        bytes_out: ((op.bytes_out as f64) * f).round().max(1.0) as u64,
-        weight_bytes: ((op.weight_bytes as f64) * f).round() as u64,
-        output: op.output.clone(),
-    }
+fn scale_op(op: &mut Operator, f: f64) {
+    op.flops *= f;
+    op.bytes_in = ((op.bytes_in as f64) * f).round().max(1.0) as u64;
+    op.bytes_out = ((op.bytes_out as f64) * f).round().max(1.0) as u64;
+    op.weight_bytes = ((op.weight_bytes as f64) * f).round() as u64;
 }
 
 fn scaled_bytes(bytes: u64, from_batch: u64, to_batch: u64) -> u64 {
@@ -834,7 +832,6 @@ mod tests {
         );
         let compute_tasks = g
             .tasks()
-            .iter()
             .filter(|t| matches!(t.kind, crate::TaskKind::Compute { .. }))
             .count();
         assert_eq!(compute_tasks, 4 * trace.entries().len());
@@ -854,7 +851,6 @@ mod tests {
         // full gradient volume.
         let inputs: u64 = g
             .tasks()
-            .iter()
             .filter_map(|t| match t.kind {
                 crate::TaskKind::Transfer { bytes, .. } if t.label.starts_with("h2d") => {
                     Some(bytes)
@@ -879,7 +875,6 @@ mod tests {
         );
         let buckets: std::collections::HashSet<&str> = g
             .tasks()
-            .iter()
             .filter(|t| t.label.contains("bucket"))
             .map(|t| t.label.split('.').nth(1).unwrap())
             .collect();
@@ -893,11 +888,7 @@ mod tests {
         let g = extrapolate(&trace, &platform, Parallelism::TensorParallel, 32, &compute);
         assert!(g.len() > trace.entries().len());
         // AllGather traffic exists.
-        let gathers = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.contains("allgather"))
-            .count();
+        let gathers = g.tasks().filter(|t| t.label.contains("allgather")).count();
         assert!(gathers > 0);
     }
 
@@ -911,18 +902,10 @@ mod tests {
             32,
             &compute,
         );
-        let act_sends = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.act"))
-            .count();
+        let act_sends = g.tasks().filter(|t| t.label.starts_with("pp.act")).count();
         // 4 chunks x 3 stage boundaries.
         assert_eq!(act_sends, 12);
-        let grad_sends = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.grad"))
-            .count();
+        let grad_sends = g.tasks().filter(|t| t.label.starts_with("pp.grad")).count();
         assert_eq!(grad_sends, 12);
     }
 
@@ -961,21 +944,12 @@ mod tests {
         );
         // Two groups, each with its own activation sends (1 boundary x 2
         // chunks each) and a per-stage AllReduce.
-        let hp0 = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("hp0.act"))
-            .count();
-        let hp1 = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("hp1.act"))
-            .count();
+        let hp0 = g.tasks().filter(|t| t.label.starts_with("hp0.act")).count();
+        let hp1 = g.tasks().filter(|t| t.label.starts_with("hp1.act")).count();
         assert_eq!(hp0, 2);
         assert_eq!(hp1, 2);
         let allreduces = g
             .tasks()
-            .iter()
             .filter(|t| t.label.contains("allreduce") && t.label.starts_with("hp.s"))
             .count();
         assert!(allreduces > 0, "per-stage gradient sync exists");
@@ -998,7 +972,6 @@ mod tests {
         // of the full gradient volume.
         let sync_bytes: u64 = g
             .tasks()
-            .iter()
             .filter(|t| t.label.starts_with("hp.s") && t.label.contains("allreduce"))
             .map(|t| match t.kind {
                 crate::TaskKind::Transfer { bytes, .. } => bytes,

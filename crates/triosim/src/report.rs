@@ -7,12 +7,15 @@
 //! (the same format the PyTorch profiler uses), so it can be inspected in
 //! any trace viewer.
 
-use std::sync::OnceLock;
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 use serde::Value;
 use triosim_des::{fnv1a, QueueStats, TimeSpan, VirtualTime};
 use triosim_network::{NetObservation, PacketObservation};
 use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
+
+use crate::taskgraph::TaskTable;
 
 /// Which resource a timeline record occupied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,19 +41,41 @@ pub struct TimelineRecord {
     pub layer: Option<usize>,
 }
 
-/// A run's timeline as the executor hands it to the report: the records
-/// it simulated, plus the iterations steady-state replay synthesized
+/// One executed task as the executor records it: the task's label, track
+/// and layer stay in the graph's task table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Span {
+    pub(crate) task: u32,
+    pub(crate) start: VirtualTime,
+    pub(crate) end: VirtualTime,
+}
+
+impl Span {
+    pub(crate) fn shifted(self, by: TimeSpan) -> Span {
+        Span {
+            start: self.start + by,
+            end: self.end + by,
+            ..self
+        }
+    }
+}
+
+/// A run's timeline as the executor hands it to the report: the spans it
+/// simulated, plus the iterations steady-state replay synthesized
 /// (DESIGN.md §12) as one period's template and a repeat count.
 ///
 /// The logical timeline is `records` followed by `repeats` copies of the
 /// template (the last simulated iteration, `records[template..]`), the
-/// `j`-th copy moved `j × period` later. Nothing walks the copies except
-/// a caller that iterates the timeline, which materializes it once.
+/// `j`-th copy moved `j × period` later. Labels, tracks and layers are
+/// read from the shared task table; [`TimelineRecord`]s exist only once a
+/// caller iterates the timeline, which materializes it once.
 #[derive(Debug, Clone)]
 pub(crate) struct TimelineStore {
-    /// Simulated records, in canonical `(start, end)` order.
-    records: Vec<TimelineRecord>,
-    /// Index of the template's first record.
+    /// The executed graph's labels, kinds and layers.
+    tasks: Arc<TaskTable>,
+    /// Simulated spans, in canonical `(start, end)` order.
+    records: Vec<Span>,
+    /// Index of the template's first span.
     template: usize,
     /// Duration of one replayed iteration.
     period: TimeSpan,
@@ -60,14 +85,14 @@ pub(crate) struct TimelineStore {
     /// the executor at every iteration boundary. After a restore it also
     /// covers pre-restore records, which are not in `records`.
     digest: (u64, u64),
-    /// The logical timeline, materialized on first iteration when
-    /// `repeats > 0`.
+    /// The logical timeline, materialized on first iteration.
     full: OnceLock<Vec<TimelineRecord>>,
 }
 
 impl TimelineStore {
     pub(crate) fn new(
-        records: Vec<TimelineRecord>,
+        tasks: Arc<TaskTable>,
+        records: Vec<Span>,
         template: usize,
         period: TimeSpan,
         repeats: usize,
@@ -78,6 +103,7 @@ impl TimelineStore {
             "template lies within the records"
         );
         TimelineStore {
+            tasks,
             records,
             template,
             period,
@@ -87,7 +113,7 @@ impl TimelineStore {
         }
     }
 
-    fn template(&self) -> &[TimelineRecord] {
+    fn template(&self) -> &[Span] {
         &self.records[self.template..]
     }
 
@@ -95,32 +121,42 @@ impl TimelineStore {
         self.records.len() + self.repeats * self.template().len()
     }
 
+    /// Every span of the logical timeline, in canonical order.
+    fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        let copies = (1..=self.repeats as u64).flat_map(move |j| {
+            let by = self.period * j;
+            self.template().iter().map(move |r| r.shifted(by))
+        });
+        self.records.iter().copied().chain(copies)
+    }
+
+    fn track(&self, r: Span) -> TimelineTrack {
+        self.tasks
+            .track(r.task as usize)
+            .expect("only compute and transfer tasks reach the timeline")
+    }
+
     fn as_slice(&self) -> &[TimelineRecord] {
-        if self.repeats == 0 {
-            return &self.records;
-        }
         self.full.get_or_init(|| {
-            let mut all = Vec::with_capacity(self.len());
-            all.extend_from_slice(&self.records);
-            for j in 1..=self.repeats as u64 {
-                let by = self.period * j;
-                all.extend(self.template().iter().map(|r| TimelineRecord {
-                    start: r.start + by,
-                    end: r.end + by,
-                    ..r.clone()
-                }));
-            }
-            all
+            self.spans()
+                .map(|r| TimelineRecord {
+                    label: self.tasks.label(r.task as usize).to_string(),
+                    track: self.track(r),
+                    start: r.start,
+                    end: r.end,
+                    layer: self.tasks.layer(r.task as usize),
+                })
+                .collect()
         })
     }
 
     /// Each GPU's busy intervals (in femtoseconds) over `records`, in
     /// time order. A GPU runs one operator at a time, so the intervals
     /// are disjoint and sorted by both start and end.
-    fn busy_intervals(records: &[TimelineRecord], gpus: usize) -> Vec<BusyCurve> {
+    fn busy_intervals(&self, records: &[Span], gpus: usize) -> Vec<BusyCurve> {
         let mut out = vec![BusyCurve::default(); gpus];
-        for r in records {
-            if let TimelineTrack::Gpu(g) = r.track {
+        for &r in records {
+            if let TimelineTrack::Gpu(g) = self.track(r) {
                 out[g].push(r.start.as_femtos(), r.end.as_femtos());
             }
         }
@@ -423,7 +459,8 @@ impl SimReport {
         let tl = &self.timeline;
         for (records, times) in [(&tl.records[..], 1), (tl.template(), tl.repeats as u64)] {
             for r in records {
-                let (Some(layer), TimelineTrack::Gpu(_)) = (r.layer, r.track) else {
+                let t = r.task as usize;
+                let (Some(layer), TimelineTrack::Gpu(_)) = (tl.tasks.layer(t), tl.track(*r)) else {
                     continue;
                 };
                 if ticks.len() <= layer {
@@ -455,8 +492,8 @@ impl SimReport {
             return profile;
         }
         let tl = &self.timeline;
-        let simulated = TimelineStore::busy_intervals(&tl.records, gpus);
-        let template = TimelineStore::busy_intervals(tl.template(), gpus);
+        let simulated = tl.busy_intervals(&tl.records, gpus);
+        let template = tl.busy_intervals(tl.template(), gpus);
         let period = tl.period.as_femtos();
         // Replayed iteration `j` (1-based) spans `origin + (j-1)T ..
         // origin + jT` and repeats the template, which spans
@@ -601,20 +638,27 @@ impl SimReport {
     /// (practically impossible for this data).
     pub fn to_chrome_trace(&self) -> Result<String, serde_json::Error> {
         let mut sink = ChromeTraceSink::new(Vec::new());
-        for r in self.timeline() {
-            let track = match r.track {
-                TimelineTrack::Gpu(i) => format!("gpu{i}"),
-                TimelineTrack::Network => "network".to_string(),
-            };
-            match r.layer {
+        let tl = &self.timeline;
+        let mut track = String::new();
+        for r in tl.spans() {
+            let t = r.task as usize;
+            track.clear();
+            match tl.track(r) {
+                TimelineTrack::Gpu(i) => {
+                    write!(track, "gpu{i}").expect("writing to a String cannot fail")
+                }
+                TimelineTrack::Network => track.push_str("network"),
+            }
+            let label = tl.tasks.label(t);
+            match tl.tasks.layer(t) {
                 Some(layer) => sink.span(
                     &track,
-                    &r.label,
+                    label,
                     r.start,
                     r.end,
                     &[("layer", AttrValue::U64(layer as u64))],
                 ),
-                None => sink.span(&track, &r.label, r.start, r.end, &[]),
+                None => sink.span(&track, label, r.start, r.end, &[]),
             }
         }
         sink.finish().expect("in-memory trace write cannot fail");
@@ -623,15 +667,19 @@ impl SimReport {
     }
 }
 
-/// Appends the bytes of `r` that do not depend on its time.
-fn record_head(r: &TimelineRecord, out: &mut Vec<u8>) {
-    out.extend_from_slice(r.label.as_bytes());
-    out.push(0xff);
-    let track = match r.track {
-        TimelineTrack::Gpu(i) => i as u64,
-        TimelineTrack::Network => u64::MAX,
-    };
-    out.extend_from_slice(&track.to_le_bytes());
+/// The track of task `t`'s record as the digest writes it.
+fn track_id(tasks: &TaskTable, t: usize) -> u64 {
+    match tasks.track(t) {
+        Some(TimelineTrack::Gpu(i)) => i as u64,
+        _ => u64::MAX,
+    }
+}
+
+/// Folds the bytes of task `t`'s record that do not depend on its time.
+fn record_head(tasks: &TaskTable, t: usize, h: u64) -> u64 {
+    let h = fnv1a(h, tasks.label(t).as_bytes());
+    let h = fnv1a(h, &[0xff]);
+    fnv1a(h, &track_id(tasks, t).to_le_bytes())
 }
 
 /// Folds the time-dependent rest of a record after its head.
@@ -641,56 +689,54 @@ fn record_tail(h: u64, start: VirtualTime, end: VirtualTime, layer: Option<usize
     fnv1a(h, &layer.map_or(u64::MAX, |l| l as u64).to_le_bytes())
 }
 
-/// Folds timeline records (in the order given, which must be the
-/// canonical `(start, end)` sort order) into a running FNV-1a state;
+/// Folds timeline spans (in the order given, which must be the canonical
+/// `(start, end)` sort order) into a running FNV-1a state;
 /// [`FNV_OFFSET`](triosim_des::FNV_OFFSET) is the digest of no records.
-/// Each record contributes its label, a `0xff` separator, its track, the
-/// bits of its start and end in seconds, and its layer. Order-sensitive,
-/// so any drift in task scheduling — not just in the aggregate totals —
-/// changes the canonical JSON.
+/// Each record contributes its task's label, a `0xff` separator, its
+/// track, the bits of its start and end in seconds, and its layer.
+/// Order-sensitive, so any drift in task scheduling — not just in the
+/// aggregate totals — changes the canonical JSON.
 ///
 /// Because the fold is sequential, a sorted run splits into sorted
 /// segments — each iteration's records — and folding segment by
 /// segment yields the same state as folding the whole run at once.
 /// That is what lets the executor fold at every iteration boundary and
 /// checkpoints carry a fixed-size digest instead of the records.
-pub(crate) fn timeline_fnv<'a, I>(seed: u64, records: I) -> u64
-where
-    I: Iterator<Item = &'a TimelineRecord>,
-{
-    let mut head = Vec::new();
-    records.fold(seed, |h, r| {
-        head.clear();
-        record_head(r, &mut head);
-        record_tail(fnv1a(h, &head), r.start, r.end, r.layer)
+pub(crate) fn timeline_fnv(tasks: &TaskTable, seed: u64, spans: &[Span]) -> u64 {
+    spans.iter().fold(seed, |h, r| {
+        let t = r.task as usize;
+        record_tail(record_head(tasks, t, h), r.start, r.end, tasks.layer(t))
     })
 }
 
-/// One iteration's records prepared for repeated folding at shifted
-/// times: steady-state replay folds the template once per synthesized
-/// iteration without materializing the shifted records. The result is
-/// exactly [`timeline_fnv`] over the shifted records.
+/// One iteration's spans prepared for repeated folding at shifted times:
+/// steady-state replay folds the template once per synthesized iteration
+/// without materializing the shifted spans. The result is exactly
+/// [`timeline_fnv`] over the shifted spans.
 pub(crate) struct ShiftedFold {
-    /// Every record's head bytes, back to back.
+    /// Every span's head bytes (label, `0xff`, track), back to back.
     heads: Vec<u8>,
-    /// Per record: end of its head in `heads`, start, end, layer.
+    /// Per span: end of its head in `heads`, start, end, layer.
     records: Vec<(usize, VirtualTime, VirtualTime, Option<usize>)>,
 }
 
 impl ShiftedFold {
-    pub(crate) fn new(template: &[TimelineRecord]) -> Self {
+    pub(crate) fn new(tasks: &TaskTable, template: &[Span]) -> Self {
         let mut heads = Vec::new();
         let records = template
             .iter()
             .map(|r| {
-                record_head(r, &mut heads);
-                (heads.len(), r.start, r.end, r.layer)
+                let t = r.task as usize;
+                heads.extend_from_slice(tasks.label(t).as_bytes());
+                heads.push(0xff);
+                heads.extend_from_slice(&track_id(tasks, t).to_le_bytes());
+                (heads.len(), r.start, r.end, tasks.layer(t))
             })
             .collect();
         ShiftedFold { heads, records }
     }
 
-    /// Folds the template, every record moved `shift` later, into `h`.
+    /// Folds the template, every span moved `shift` later, into `h`.
     pub(crate) fn fold(&self, h: u64, shift: TimeSpan) -> u64 {
         let mut from = 0;
         self.records.iter().fold(h, |h, &(to, start, end, layer)| {
@@ -710,18 +756,44 @@ impl ShiftedFold {
 mod tests {
     use super::*;
     use triosim_des::{merge_intervals, FNV_OFFSET};
+    use triosim_network::NodeId;
 
     fn t(s: f64) -> VirtualTime {
         VirtualTime::from_seconds(s)
     }
 
+    /// One task per record, and the record's span of it.
+    fn graph_of(records: &[TimelineRecord]) -> (Arc<TaskTable>, Vec<Span>) {
+        let mut g = crate::TaskGraph::new(8);
+        let spans = records
+            .iter()
+            .map(|r| {
+                let id = match (r.track, r.layer) {
+                    (TimelineTrack::Gpu(gpu), Some(l)) => {
+                        g.compute_in_layer(&r.label, gpu, r.end - r.start, [], l)
+                    }
+                    (TimelineTrack::Gpu(gpu), None) => {
+                        g.compute(&r.label, gpu, r.end - r.start, [])
+                    }
+                    (TimelineTrack::Network, _) => {
+                        g.transfer(&r.label, NodeId(0), NodeId(1), 1, [])
+                    }
+                };
+                Span {
+                    task: id.0 as u32,
+                    start: r.start,
+                    end: r.end,
+                }
+            })
+            .collect();
+        (g.table().clone(), spans)
+    }
+
     /// A fully simulated timeline with its batch-folded digest.
     fn store(records: Vec<TimelineRecord>) -> TimelineStore {
-        let digest = (
-            records.len() as u64,
-            timeline_fnv(FNV_OFFSET, records.iter()),
-        );
-        TimelineStore::new(records, 0, TimeSpan::ZERO, 0, digest)
+        let (tasks, spans) = graph_of(&records);
+        let digest = (spans.len() as u64, timeline_fnv(&tasks, FNV_OFFSET, &spans));
+        TimelineStore::new(tasks, spans, 0, TimeSpan::ZERO, 0, digest)
     }
 
     fn rec(
@@ -771,14 +843,17 @@ mod tests {
         let all: Vec<TimelineRecord> = (0..7).flat_map(|k| iteration(f64::from(k))).collect();
         let oracle = report_of(store(all.clone()), 7);
         // Two simulated iterations; the second repeats five more times.
-        let simulated: Vec<TimelineRecord> = all[..8].to_vec();
+        let (tasks, simulated) = graph_of(&all[..8]);
         let period = TimeSpan::from_millis(4.0);
-        let shifted = ShiftedFold::new(&simulated[4..]);
-        let mut fnv = timeline_fnv(FNV_OFFSET, simulated.iter());
+        let shifted = ShiftedFold::new(&tasks, &simulated[4..]);
+        let mut fnv = timeline_fnv(&tasks, FNV_OFFSET, &simulated);
         for j in 1..=5u64 {
             fnv = shifted.fold(fnv, period * j);
         }
-        let replayed = report_of(TimelineStore::new(simulated, 4, period, 5, (28, fnv)), 7);
+        let replayed = report_of(
+            TimelineStore::new(tasks, simulated, 4, period, 5, (28, fnv)),
+            7,
+        );
 
         assert_eq!(replayed.to_canonical_string(), oracle.to_canonical_string());
         assert_eq!(replayed.timeline().len(), 28);

@@ -373,9 +373,11 @@ impl<'a> SimBuilder<'a> {
     /// [`try_run`](Self::try_run) with host self-profiling: wall-clock
     /// spans for Li's-Model calibration (`calibration`), graph
     /// extrapolation (`graph_build`), network construction
-    /// (`network_build`), and the engine loop with its network share
-    /// (`engine_loop`/`network`) and snapshot writes
-    /// (`engine_loop`/`checkpoint_write`) accumulate into `prof`.
+    /// (`network_build`), executor construction (`engine_setup`), and the
+    /// engine loop with its network share (`engine_loop`/`network`), its
+    /// per-iteration timeline digest (`engine_loop`/`timeline_fold`) and
+    /// attribution walk (`engine_loop`/`attribution`), and snapshot
+    /// writes (`engine_loop`/`checkpoint_write`) accumulate into `prof`.
     ///
     /// Profiling is strictly diagnostic: the returned report — including
     /// its canonical bytes — is byte-identical to an unprofiled run. A

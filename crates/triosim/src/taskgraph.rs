@@ -6,16 +6,26 @@
 //! compute stream; transfer tasks go to the network model and may overlap
 //! freely with compute — exactly the PyTorch execution model, where NCCL
 //! runs on its own stream.
+//!
+//! The graph is plain data addressed by dense [`TaskId`]s: every label
+//! lives in one arena, every dependency in one flat table. Adding a task
+//! appends to a few vectors and allocates no block of its own, so graph
+//! build costs what the tasks cost, not what their heap blocks cost.
+
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use triosim_des::TimeSpan;
 use triosim_network::NodeId;
+
+use crate::report::TimelineTrack;
 
 /// Index of a task within its [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
 /// What a task does.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TaskKind {
     /// Run on GPU `gpu`'s compute stream for `duration`.
     Compute {
@@ -37,18 +47,76 @@ pub enum TaskKind {
     Barrier,
 }
 
-/// One node of the task DAG.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Task {
+/// One node of the task DAG, as a view into its graph.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Task<'g> {
     /// Human-readable label (surfaces in the timeline output).
-    pub label: String,
+    pub label: &'g str,
     /// The work.
     pub kind: TaskKind,
     /// Tasks that must complete before this one starts.
-    pub deps: Vec<TaskId>,
+    pub deps: &'g [TaskId],
     /// Model layer this task belongs to, when applicable (drives the
     /// per-layer time breakdown of §4.1).
     pub layer: Option<usize>,
+}
+
+/// The per-task data a run's report keeps after the graph is gone: each
+/// task's label, work and layer. The graph and the reports of the runs
+/// that execute it share one copy.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaskTable {
+    /// Every label, back to back.
+    labels: String,
+    nodes: Vec<Node>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: TaskKind,
+    /// End of this task's label in `labels`; it starts where the previous
+    /// task's ends.
+    label_end: u32,
+    /// Model layer, or [`NO_LAYER`].
+    layer: u32,
+}
+
+const NO_LAYER: u32 = u32::MAX;
+
+impl TaskTable {
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn label(&self, t: usize) -> &str {
+        let start = match t {
+            0 => 0,
+            _ => self.nodes[t - 1].label_end as usize,
+        };
+        &self.labels[start..self.nodes[t].label_end as usize]
+    }
+
+    pub(crate) fn kind(&self, t: usize) -> &TaskKind {
+        &self.nodes[t].kind
+    }
+
+    pub(crate) fn layer(&self, t: usize) -> Option<usize> {
+        let layer = self.nodes[t].layer;
+        (layer != NO_LAYER).then_some(layer as usize)
+    }
+
+    /// The timeline track task `t` occupies; barriers occupy none.
+    pub(crate) fn track(&self, t: usize) -> Option<TimelineTrack> {
+        match self.nodes[t].kind {
+            TaskKind::Compute { gpu, .. } => Some(TimelineTrack::Gpu(gpu)),
+            TaskKind::Transfer { .. } => Some(TimelineTrack::Network),
+            TaskKind::Barrier => None,
+        }
+    }
+
+    fn kinds(&self) -> impl Iterator<Item = &TaskKind> {
+        self.nodes.iter().map(|n| &n.kind)
+    }
 }
 
 /// Metadata describing one collective operation lowered into the graph.
@@ -85,16 +153,21 @@ pub struct CollectiveMeta {
 /// use triosim_des::TimeSpan;
 ///
 /// let mut g = TaskGraph::new(2);
-/// let a = g.compute("fwd@0", 0, TimeSpan::from_millis(1.0), vec![]);
-/// let b = g.compute("fwd@1", 1, TimeSpan::from_millis(1.0), vec![]);
-/// let done = g.barrier("sync", vec![a, b]);
+/// let a = g.compute("fwd@0", 0, TimeSpan::from_millis(1.0), []);
+/// let b = g.compute(format_args!("fwd@{}", 1), 1, TimeSpan::from_millis(1.0), []);
+/// let done = g.barrier("sync", [a, b]);
 /// assert_eq!(g.len(), 3);
-/// # let _ = done;
+/// assert_eq!(g.task(b).label, "fwd@1");
+/// assert_eq!(g.task(done).deps, &[a, b]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     gpus: usize,
-    tasks: Vec<Task>,
+    table: Arc<TaskTable>,
+    /// Dependencies in CSR form: task `i`'s are
+    /// `deps[dep_ends[i - 1]..dep_ends[i]]` (from 0 for task 0).
+    dep_ends: Vec<u32>,
+    deps: Vec<TaskId>,
     collectives: Vec<CollectiveMeta>,
 }
 
@@ -103,8 +176,7 @@ impl TaskGraph {
     pub fn new(gpus: usize) -> Self {
         TaskGraph {
             gpus,
-            tasks: Vec::new(),
-            collectives: Vec::new(),
+            ..TaskGraph::default()
         }
     }
 
@@ -115,96 +187,138 @@ impl TaskGraph {
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.table.len()
     }
 
     /// True if no tasks were added.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.len() == 0
     }
 
-    /// The tasks, indexed by [`TaskId`].
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    /// Task `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a task of this graph.
+    pub fn task(&self, id: TaskId) -> Task<'_> {
+        Task {
+            label: self.table.label(id.0),
+            kind: *self.table.kind(id.0),
+            deps: self.deps(id),
+            layer: self.table.layer(id.0),
+        }
     }
 
-    /// Adds an arbitrary task.
+    /// Every task, in [`TaskId`] order.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = Task<'_>> + '_ {
+        (0..self.len()).map(|i| self.task(TaskId(i)))
+    }
+
+    /// The tasks that must complete before task `id` starts.
+    pub fn deps(&self, id: TaskId) -> &[TaskId] {
+        let start = match id.0 {
+            0 => 0,
+            i => self.dep_ends[i - 1] as usize,
+        };
+        &self.deps[start..self.dep_ends[id.0] as usize]
+    }
+
+    /// The shared per-task table (labels, kinds, layers).
+    pub(crate) fn table(&self) -> &Arc<TaskTable> {
+        &self.table
+    }
+
+    /// Adds a task and returns its id.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to a not-yet-added task (the graph
     /// is built in topological order by construction) or a compute task
     /// names a GPU out of range.
-    pub fn push(&mut self, task: Task) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        for d in &task.deps {
+    fn add(
+        &mut self,
+        label: impl fmt::Display,
+        kind: TaskKind,
+        deps: impl IntoIterator<Item = TaskId>,
+        layer: Option<usize>,
+    ) -> TaskId {
+        let id = TaskId(self.len());
+        // Runs index tasks with 32 bits.
+        assert!(
+            id.0 < u32::MAX as usize,
+            "task graphs stay under 2^32 tasks"
+        );
+        for d in deps {
             assert!(d.0 < id.0, "dependency {d:?} added after dependent task");
+            self.deps.push(d);
         }
-        if let TaskKind::Compute { gpu, .. } = task.kind {
+        if let TaskKind::Compute { gpu, .. } = kind {
             assert!(gpu < self.gpus, "GPU {gpu} out of range");
         }
-        self.tasks.push(task);
+        self.dep_ends.push(offset(self.deps.len()));
+        let layer = layer.map_or(NO_LAYER, |l| {
+            u32::try_from(l)
+                .ok()
+                .filter(|&l| l != NO_LAYER)
+                .expect("layer index fits in 32 bits")
+        });
+        let table = Arc::make_mut(&mut self.table);
+        write!(table.labels, "{label}").expect("writing to a String cannot fail");
+        table.nodes.push(Node {
+            kind,
+            label_end: offset(table.labels.len()),
+            layer,
+        });
         id
     }
 
     /// Adds a compute task.
     pub fn compute(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         gpu: usize,
         duration: TimeSpan,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Compute { gpu, duration },
-            deps,
-            layer: None,
-        })
+        self.add(label, TaskKind::Compute { gpu, duration }, deps, None)
     }
 
     /// Adds a compute task attributed to a model layer.
     pub fn compute_in_layer(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         gpu: usize,
         duration: TimeSpan,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
         layer: usize,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Compute { gpu, duration },
+        self.add(
+            label,
+            TaskKind::Compute { gpu, duration },
             deps,
-            layer: Some(layer),
-        })
+            Some(layer),
+        )
     }
 
     /// Adds a transfer task.
     pub fn transfer(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Transfer { src, dst, bytes },
-            deps,
-            layer: None,
-        })
+        self.add(label, TaskKind::Transfer { src, dst, bytes }, deps, None)
     }
 
     /// Adds a zero-cost barrier joining `deps`.
-    pub fn barrier(&mut self, label: impl Into<String>, deps: Vec<TaskId>) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Barrier,
-            deps,
-            layer: None,
-        })
+    pub fn barrier(
+        &mut self,
+        label: impl fmt::Display,
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
+        self.add(label, TaskKind::Barrier, deps, None)
     }
 
     /// Registers collective metadata for a group of already-added tasks.
@@ -216,7 +330,7 @@ impl TaskGraph {
     /// emitting all of its tasks.
     pub fn register_collective(&mut self, meta: CollectiveMeta) {
         assert!(
-            meta.first <= meta.last && meta.last.0 < self.tasks.len(),
+            meta.first <= meta.last && meta.last.0 < self.len(),
             "collective {:?} references tasks outside the graph",
             meta.label
         );
@@ -230,9 +344,9 @@ impl TaskGraph {
 
     /// Total bytes moved by all transfer tasks.
     pub fn total_transfer_bytes(&self) -> u64 {
-        self.tasks
-            .iter()
-            .map(|t| match t.kind {
+        self.table
+            .kinds()
+            .map(|k| match *k {
                 TaskKind::Transfer { bytes, .. } => bytes,
                 _ => 0,
             })
@@ -242,14 +356,20 @@ impl TaskGraph {
     /// Total compute time across all GPUs (serial sum, not critical
     /// path).
     pub fn total_compute_time(&self) -> TimeSpan {
-        self.tasks
-            .iter()
-            .map(|t| match t.kind {
+        self.table
+            .kinds()
+            .map(|k| match *k {
                 TaskKind::Compute { duration, .. } => duration,
                 _ => TimeSpan::ZERO,
             })
             .sum()
     }
+}
+
+/// An offset into the label arena or the dependency table, both of which
+/// stay under 2^32 entries.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("task graph tables stay under 2^32 entries")
 }
 
 #[cfg(test)]
@@ -261,19 +381,19 @@ mod tests {
         let mut g = TaskGraph::new(1);
         let a = g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         let b = g.compute("b", 0, TimeSpan::from_millis(1.0), vec![a]);
-        assert_eq!(g.tasks()[b.0].deps, vec![a]);
+        assert_eq!(g.task(b).deps, &[a]);
+        assert_eq!(g.task(a).deps, &[]);
+        assert_eq!(
+            g.tasks().map(|t| t.label).collect::<Vec<_>>(),
+            vec!["a", "b"]
+        );
     }
 
     #[test]
     #[should_panic(expected = "added after dependent")]
     fn forward_dependency_rejected() {
         let mut g = TaskGraph::new(1);
-        g.push(Task {
-            label: "bad".into(),
-            kind: TaskKind::Barrier,
-            deps: vec![TaskId(5)],
-            layer: None,
-        });
+        g.barrier("bad", [TaskId(5)]);
     }
 
     #[test]
@@ -325,5 +445,19 @@ mod tests {
         assert_eq!(g.total_transfer_bytes(), 150);
         assert_eq!(g.total_compute_time(), TimeSpan::from_millis(2.0));
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn labels_and_layers_round_trip_through_the_arena() {
+        let mut g = TaskGraph::new(2);
+        let a = g.compute_in_layer("", 0, TimeSpan::ZERO, None, 3);
+        let b = g.compute_in_layer(format_args!("op{}@g{}", 7, 1), 1, TimeSpan::ZERO, [a], 0);
+        let c = g.barrier("join", [a, b]);
+        assert_eq!((g.task(a).label, g.task(a).layer), ("", Some(3)));
+        assert_eq!((g.task(b).label, g.task(b).layer), ("op7@g1", Some(0)));
+        assert_eq!((g.task(c).label, g.task(c).layer), ("join", None));
+        assert_eq!(g.task(c).deps, &[a, b]);
+        assert_eq!(g.table().track(c.0), None);
+        assert_eq!(g.table().track(b.0), Some(TimelineTrack::Gpu(1)));
     }
 }

@@ -132,12 +132,10 @@ proptest! {
         let expected = (chunks as usize) * (n - 1);
         let acts = g
             .tasks()
-            .iter()
             .filter(|t| t.label.starts_with("pp.act"))
             .count();
         let grads = g
             .tasks()
-            .iter()
             .filter(|t| t.label.starts_with("pp.grad"))
             .count();
         prop_assert_eq!(acts, expected);

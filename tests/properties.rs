@@ -70,7 +70,6 @@ proptest! {
         // Lower bound: the longest compute task must fit inside the total.
         let longest = g
             .tasks()
-            .iter()
             .filter_map(|t| match t.kind {
                 triosim::TaskKind::Compute { duration, .. } => Some(duration),
                 _ => None,
