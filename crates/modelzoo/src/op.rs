@@ -40,7 +40,8 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// All classes, in a stable order (used to build per-class models).
+    /// All classes, in declaration order, so `ALL[c as usize] == c`
+    /// (per-class models are arrays indexed by the class).
     pub const ALL: [OpClass; 12] = [
         OpClass::Conv2d,
         OpClass::Linear,
@@ -461,5 +462,8 @@ mod tests {
         v.sort();
         v.dedup();
         assert_eq!(v.len(), OpClass::ALL.len());
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class} out of declaration order");
+        }
     }
 }

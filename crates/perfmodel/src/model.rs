@@ -1,7 +1,5 @@
 //! The per-GPU, per-class operator time model.
 
-use std::collections::HashMap;
-
 use triosim_modelzoo::{OpClass, Operator};
 use triosim_trace::{GpuModel, GpuSpec, OracleGpu};
 
@@ -33,7 +31,8 @@ use crate::linreg::LinearRegression;
 pub struct LisModel {
     spec: GpuSpec,
     features: FeatureSet,
-    per_class: HashMap<OpClass, LinearRegression>,
+    /// One regression per class, indexed by `OpClass as usize`.
+    per_class: Box<[LinearRegression; OpClass::ALL.len()]>,
 }
 
 impl LisModel {
@@ -52,17 +51,15 @@ impl LisModel {
     /// Calibrates with an explicit feature family — [`FeatureSet::Sublinear`]
     /// is the NeuSight-style alternative compute model of §8.2.
     pub fn calibrated_with_features(oracle: OracleGpu, features: FeatureSet) -> Self {
-        let mut per_class = HashMap::new();
-        for class in OpClass::ALL {
+        let per_class = Box::new(OpClass::ALL.map(|class| {
             let ops = calibration_ops(class);
             let xs: Vec<Vec<f64>> = ops.iter().map(|o| op_features_with(o, features)).collect();
             let ys: Vec<f64> = ops.iter().map(|o| oracle.op_time_s(o)).collect();
             // Tiny ridge: several classes have FLOPs exactly
             // proportional to bytes, which is singular under plain OLS.
-            let reg = LinearRegression::fit_ridge(&xs, &ys, 1e-9)
-                .expect("ridge-regularized calibration always solves");
-            per_class.insert(class, reg);
-        }
+            LinearRegression::fit_ridge(&xs, &ys, 1e-9)
+                .expect("ridge-regularized calibration always solves")
+        }));
         LisModel {
             spec: *oracle.spec(),
             features,
@@ -86,10 +83,7 @@ impl LisModel {
     /// model extrapolated to tiny operators can go negative, but no real
     /// kernel finishes faster than its launch.
     pub fn predict(&self, op: &Operator) -> f64 {
-        let reg = self
-            .per_class
-            .get(&op.class)
-            .expect("all classes calibrated");
+        let reg = &self.per_class[op.class as usize];
         let floor = self.spec.kernel_launch_overhead_s;
         let x = op_feature_array(op, self.features);
         reg.predict(&x[..self.features.dim()]).max(floor)

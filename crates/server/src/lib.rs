@@ -45,4 +45,4 @@ pub use http::{parse_head, read_request, HttpError, Request, Response};
 pub use job::{job_id, JobPaths, JobRunner, JobState, JobStore, RunError};
 pub use queue::{Admission, JobQueue};
 pub use retry::RetryPolicy;
-pub use server::{Counters, Server, ServerConfig};
+pub use server::{Counters, Server, ServerConfig, MAX_WAIT_MS};

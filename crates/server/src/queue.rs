@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// A bounded MPMC queue of job ids with shutdown-aware blocking pop.
 #[derive(Debug)]
@@ -90,18 +89,16 @@ impl JobQueue {
             if let Some(id) = q.pop_front() {
                 return Some(id);
             }
-            // Bounded wait so a shutdown with no traffic still wakes us.
-            let (guard, _) = self
-                .nonempty
-                .wait_timeout(q, Duration::from_millis(50))
-                .ok()?;
-            q = guard;
+            q = self.nonempty.wait(q).ok()?;
         }
     }
 
     /// Wakes every blocked popper (call after flipping the shutdown
-    /// flag).
+    /// flag). Taking the lock orders the wakeup after any popper's
+    /// shutdown check: a popper either sees the flag or is already
+    /// waiting when the notification fires, so none sleeps through it.
     pub fn wake_all(&self) {
+        let _guard = self.inner.lock();
         self.nonempty.notify_all();
     }
 }
@@ -110,6 +107,7 @@ impl JobQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn sheds_exactly_beyond_capacity() {
@@ -167,5 +165,27 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         q.wake_all();
         assert_eq!(popper.join().unwrap(), None);
+    }
+
+    /// A drain that lands between a popper's shutdown check and its
+    /// wait must still wake it: `pop` has no timeout to fall back on.
+    #[test]
+    fn shutdown_racing_pop_never_loses_the_wakeup() {
+        for _ in 0..1_000 {
+            let q = Arc::new(JobQueue::new(4));
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let (tx, rx) = std::sync::mpsc::channel();
+            {
+                let q = q.clone();
+                let shutdown = shutdown.clone();
+                std::thread::spawn(move || tx.send(q.pop(&shutdown)).ok());
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            q.wake_all();
+            let popped = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("popper woke for the shutdown");
+            assert_eq!(popped, None);
+        }
     }
 }

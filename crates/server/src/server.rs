@@ -21,15 +21,20 @@
 //! * **Graceful drain** — [`Server::drain`] stops accepting, flips the
 //!   cancel flag so runners checkpoint and return, and leaves every
 //!   incomplete job durable for the next start.
+//!
+//! Nothing on the request path sleeps: the accept is blocking (a drain
+//! wakes it with one loopback connect), and `GET /jobs/<id>/result`
+//! can long-poll (`?wait_ms=N`) on a condvar that every state change
+//! notifies.
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 use triosim_des::VirtualTime;
@@ -39,6 +44,11 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::job::{job_id, JobRunner, JobState, JobStore, RunError};
 use crate::queue::{Admission, JobQueue};
 use crate::retry::RetryPolicy;
+
+/// The longest a `GET /jobs/<id>/result?wait_ms=N` long poll blocks;
+/// larger `N` are clamped to it. A long poll holds its connection slot
+/// for the whole wait.
+pub const MAX_WAIT_MS: u64 = 10_000;
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
@@ -116,6 +126,9 @@ struct Inner {
     runner: Box<dyn JobRunner>,
     queue: JobQueue,
     states: Mutex<HashMap<String, JobState>>,
+    /// Notified on every `states` change and on a drain; long polls
+    /// wait on it.
+    changed: Condvar,
     counters: Counters,
     /// Recovery scan finished; submissions are accepted.
     ready: AtomicBool,
@@ -130,17 +143,35 @@ impl Inner {
     fn set_state(&self, id: &str, state: JobState) {
         if let Ok(mut states) = self.states.lock() {
             states.insert(id.to_string(), state);
+            self.changed.notify_all();
         }
     }
 
-    fn state_of(&self, id: &str) -> Option<JobState> {
-        if let Ok(states) = self.states.lock() {
-            if let Some(s) = states.get(id) {
-                return Some(s.clone());
+    /// The job's state once it is terminal, `wait` has run out or a
+    /// drain has begun, whichever comes first.
+    fn await_state(&self, id: &str, wait: Duration) -> Option<JobState> {
+        let deadline = Instant::now() + wait;
+        if let Ok(mut states) = self.states.lock() {
+            while let Some(state) = states.get(id) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if matches!(state, JobState::Done | JobState::Dead)
+                    || left.is_zero()
+                    || self.shutting_down.load(Ordering::SeqCst)
+                {
+                    return Some(state.clone());
+                }
+                match self.changed.wait_timeout(states, left) {
+                    Ok((guard, _)) => states = guard,
+                    Err(_) => break,
+                }
             }
         }
         // Jobs finished in a previous server life live only on disk.
         self.store.state_on_disk(id)
+    }
+
+    fn state_of(&self, id: &str) -> Option<JobState> {
+        self.await_state(id, Duration::ZERO)
     }
 }
 
@@ -170,7 +201,6 @@ impl Server {
     /// Propagates bind and job-store failures.
     pub fn start(config: ServerConfig, runner: Box<dyn JobRunner>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let store = JobStore::open(&config.data_dir)?;
         let inner = Arc::new(Inner {
@@ -178,6 +208,7 @@ impl Server {
             store,
             runner,
             states: Mutex::new(HashMap::new()),
+            changed: Condvar::new(),
             counters: Counters::default(),
             ready: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
@@ -219,12 +250,20 @@ impl Server {
 
     /// Begins a graceful drain: stop accepting connections and jobs,
     /// flip the runners' cancel flag so in-flight jobs checkpoint and
-    /// return promptly. Incomplete jobs stay durable on disk for the
-    /// next start. Non-blocking; follow with [`Server::join`].
+    /// return promptly, and release long polls with the state they
+    /// have. Incomplete jobs stay durable on disk for the next start.
+    /// Non-blocking; follow with [`Server::join`].
     pub fn drain(&self) {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
         self.inner.cancel.store(true, Ordering::SeqCst);
         self.inner.queue.wake_all();
+        // Under the lock, so no long poll is between its check and its wait.
+        if let Ok(_states) = self.inner.states.lock() {
+            self.inner.changed.notify_all();
+        }
+        // The accept loop blocks in `accept`; one connection of our own
+        // wakes it to see the flag.
+        TcpStream::connect_timeout(&loopback(self.local_addr), Duration::from_secs(1)).ok();
     }
 
     /// Waits for the accept loop and workers to exit (call after
@@ -266,10 +305,24 @@ fn recover(inner: &Inner) {
     inner.ready.store(true, Ordering::SeqCst);
 }
 
-/// Nonblocking accept loop, polling the shutdown flag between accepts.
+/// The address [`Server::drain`] connects to in order to wake the accept
+/// loop: the bound address, with a wildcard IP replaced by loopback.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Blocking accept loop. It leaves on the first connection accepted
+/// after a drain began — the drain's own wake-up connect if no client
+/// came first.
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     while !inner.shutting_down.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if inner.shutting_down.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 if inner.active_conns.load(Ordering::SeqCst) >= inner.config.max_conns {
                     Counters::bump(&inner.counters.conns_refused);
@@ -283,9 +336,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                     inner.active_conns.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of file descriptors and the like: back off, retry.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -362,7 +413,10 @@ fn status_json(id: &str, state: &JobState, inner: &Inner) -> Value {
 /// The request router. Pure with respect to the socket — unit tests
 /// drive it with synthetic [`Request`]s.
 fn route(inner: &Inner, request: &Request) -> Response {
-    let path = request.path.split('?').next().unwrap_or("");
+    let (path, query) = request
+        .path
+        .split_once('?')
+        .unwrap_or((request.path.as_str(), ""));
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/readyz") => {
@@ -379,7 +433,10 @@ fn route(inner: &Inner, request: &Request) -> Response {
         ("GET", p) if p.starts_with("/jobs/") => {
             let rest = &p["/jobs/".len()..];
             if let Some(id) = rest.strip_suffix("/result") {
-                job_result(inner, id)
+                match wait_ms(query) {
+                    Some(ms) => job_result(inner, id, Duration::from_millis(ms)),
+                    None => Response::text(400, "wait_ms must be a whole number of milliseconds\n"),
+                }
             } else if rest.contains('/') {
                 Response::text(404, "no such resource\n")
             } else {
@@ -486,9 +543,23 @@ fn job_status(inner: &Inner, id: &str) -> Response {
     }
 }
 
-/// `GET /jobs/<id>/result`: the stored canonical bytes, verbatim.
-fn job_result(inner: &Inner, id: &str) -> Response {
-    match inner.state_of(id) {
+/// The query's `wait_ms`, clamped to [`MAX_WAIT_MS`]; 0 when absent,
+/// `None` when malformed.
+fn wait_ms(query: &str) -> Option<u64> {
+    let mut ms = 0;
+    for pair in query.split('&') {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        if key == "wait_ms" {
+            ms = value.parse::<u64>().ok()?;
+        }
+    }
+    Some(ms.min(MAX_WAIT_MS))
+}
+
+/// `GET /jobs/<id>/result`: the stored canonical bytes, verbatim, once
+/// the job is done — waiting up to `wait` for it to end.
+fn job_result(inner: &Inner, id: &str, wait: Duration) -> Response {
+    match inner.await_state(id, wait) {
         Some(JobState::Done) => match std::fs::read(inner.store.paths(id).result()) {
             Ok(bytes) => Response::json_bytes(200, bytes),
             Err(e) => Response::text(500, format!("result unreadable: {e}\n")),
@@ -696,6 +767,7 @@ mod tests {
             store,
             runner,
             states: Mutex::new(HashMap::new()),
+            changed: Condvar::new(),
             counters: Counters::default(),
             ready: AtomicBool::new(true),
             shutting_down: AtomicBool::new(false),

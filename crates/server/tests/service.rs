@@ -1,7 +1,8 @@
 //! End-to-end service tests over real sockets: submit → poll → result,
-//! load shedding on the wire, slow-loris ejection, and the
-//! drain-restart-recover loop — all with a stub runner, so these tests
-//! exercise the service machinery, not the simulator.
+//! the long-poll result, load shedding on the wire, slow-loris
+//! ejection, the wildcard drain, and the drain-restart-recover loop —
+//! all with a stub runner, so these tests exercise the service
+//! machinery, not the simulator.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -29,6 +30,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// * `{"work":"ok", ...}` — succeed immediately, result is `done:<spec>`.
 /// * `{"work":"slow", ...}` — loop in cancel-aware 10 ms slices for
 ///   ~500 ms, then succeed; returns `Interrupted` if cancelled.
+/// * `{"work":"stuck", ...}` — like `slow`, but for ~10 s.
 /// * `{"work":"flaky", ...}` — fail transiently twice, then succeed.
 /// * anything containing `invalid` — rejected at validation.
 struct Stub {
@@ -59,13 +61,18 @@ impl JobRunner for Stub {
         _attempt: u32,
         cancel: &Arc<AtomicBool>,
     ) -> Result<String, RunError> {
-        if spec_text.contains("\"slow\"") {
-            for _ in 0..50 {
-                if cancel.load(Ordering::SeqCst) {
-                    return Err(RunError::Interrupted);
-                }
-                std::thread::sleep(Duration::from_millis(10));
+        let slices = if spec_text.contains("\"slow\"") {
+            50
+        } else if spec_text.contains("\"stuck\"") {
+            1_000
+        } else {
+            0
+        };
+        for _ in 0..slices {
+            if cancel.load(Ordering::SeqCst) {
+                return Err(RunError::Interrupted);
             }
+            std::thread::sleep(Duration::from_millis(10));
         }
         if spec_text.contains("\"flaky\"") && self.flaky_failures.load(Ordering::SeqCst) > 0 {
             self.flaky_failures.fetch_sub(1, Ordering::SeqCst);
@@ -340,6 +347,194 @@ fn job_state_survives_across_lives_on_disk_alone() {
     assert_eq!(r.body_text(), format!("done:{spec}"));
     let (_, _, _, recovered, _, _) = server.counter_snapshot();
     assert_eq!(recovered, 0, "terminal jobs are not requeued");
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Starts a server and waits until it is ready.
+fn start(config: ServerConfig) -> (Server, String) {
+    let server = Server::start(config, Box::new(Stub::new())).unwrap();
+    let addr = server.local_addr().to_string();
+    wait_ready(&addr);
+    (server, addr)
+}
+
+fn submit(addr: &str, spec: &str) -> String {
+    let accepted = request(addr, "POST", "/jobs", Some(spec.as_bytes()), T).unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.body_text());
+    extract_id(&accepted.body_text())
+}
+
+/// Joins the server on a helper thread and fails if that takes over
+/// `limit`.
+fn join_within(server: Server, limit: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        tx.send(()).ok();
+    });
+    assert!(
+        rx.recv_timeout(limit).is_ok(),
+        "server did not join within {limit:?}"
+    );
+}
+
+#[test]
+fn wildcard_bound_server_drains_while_idle() {
+    let dir = temp_dir("wildcard");
+    let server = Server::start(
+        ServerConfig {
+            addr: "0.0.0.0:0".into(),
+            ..config(&dir)
+        },
+        Box::new(Stub::new()),
+    )
+    .unwrap();
+    assert!(server.local_addr().ip().is_unspecified());
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    wait_ready(&addr);
+    let drained = Instant::now();
+    server.drain();
+    join_within(server, Duration::from_secs(2));
+    println!("idle wildcard drain joined in {:?}", drained.elapsed());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn long_poll_returns_the_result_when_the_job_finishes_during_the_wait() {
+    let dir = temp_dir("long-poll");
+    let (server, addr) = start(config(&dir));
+    let spec = "{\"work\":\"slow\",\"n\":3}";
+    let id = submit(&addr, spec);
+    // The slow job takes ~500 ms; the poll waits up to 5 s.
+    let sent = Instant::now();
+    let r = request(
+        &addr,
+        "GET",
+        &format!("/jobs/{id}/result?wait_ms=5000"),
+        None,
+        Duration::from_secs(10),
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_text());
+    assert_eq!(r.body_text(), format!("done:{spec}"));
+    assert!(
+        sent.elapsed() < Duration::from_secs(4),
+        "answered at the job's end, not the wait's: {:?}",
+        sent.elapsed()
+    );
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn long_poll_answers_409_when_the_wait_expires() {
+    let dir = temp_dir("long-poll-expiry");
+    let (server, addr) = start(config(&dir));
+    let id = submit(&addr, "{\"work\":\"stuck\",\"n\":4}");
+    let sent = Instant::now();
+    let r = request(
+        &addr,
+        "GET",
+        &format!("/jobs/{id}/result?wait_ms=100"),
+        None,
+        T,
+    )
+    .unwrap();
+    let waited = sent.elapsed();
+    assert_eq!(r.status, 409, "{}", r.body_text());
+    assert!(r.body_text().contains("\"state\":"), "{}", r.body_text());
+    assert!(
+        waited >= Duration::from_millis(100),
+        "returned early: {waited:?}"
+    );
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_wait_ms_is_a_400() {
+    let dir = temp_dir("bad-wait");
+    let (server, addr) = start(config(&dir));
+    let id = submit(&addr, "{\"work\":\"ok\",\"n\":5}");
+    for query in [
+        "wait_ms=soon",
+        "wait_ms=-1",
+        "wait_ms=",
+        "wait_ms",
+        "x=1&wait_ms=1.5",
+    ] {
+        let r = request(&addr, "GET", &format!("/jobs/{id}/result?{query}"), None, T).unwrap();
+        assert_eq!(r.status, 400, "{query}: {}", r.body_text());
+    }
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn drain_releases_a_waiting_long_poll() {
+    let dir = temp_dir("long-poll-drain");
+    let (server, addr) = start(config(&dir));
+    let id = submit(&addr, "{\"work\":\"stuck\",\"n\":6}");
+    let poll = std::thread::spawn(move || {
+        let sent = Instant::now();
+        let r = request(
+            &addr,
+            "GET",
+            &format!("/jobs/{id}/result?wait_ms=10000"),
+            None,
+            Duration::from_secs(15),
+        );
+        (r, sent.elapsed())
+    });
+    // Let the poll reach its wait, then drain under it.
+    std::thread::sleep(Duration::from_millis(200));
+    server.drain();
+    let (r, waited) = poll.join().unwrap();
+    let r = r.unwrap();
+    assert_eq!(r.status, 409, "{}", r.body_text());
+    assert!(
+        waited < Duration::from_secs(5),
+        "the drain released the poll, not its 10 s wait: {waited:?}"
+    );
+    join_within(server, Duration::from_secs(5));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_long_poll_holds_a_connection_slot() {
+    let dir = temp_dir("long-poll-slot");
+    let (server, addr) = start(ServerConfig {
+        max_conns: 1,
+        ..config(&dir)
+    });
+    let id = submit(&addr, "{\"work\":\"stuck\",\"n\":7}");
+    let poll = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            request(
+                &addr,
+                "GET",
+                &format!("/jobs/{id}/result?wait_ms=1000"),
+                None,
+                T,
+            )
+        })
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    // Sends nothing, so the refusal is not lost to a reset over an
+    // unread request.
+    let mut refused = Vec::new();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_read_timeout(Some(T)).unwrap();
+    std::io::Read::read_to_end(&mut stream, &mut refused).unwrap();
+    let refused = String::from_utf8_lossy(&refused);
+    assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
+    assert_eq!(poll.join().unwrap().unwrap().status, 409);
     server.drain();
     server.join();
     std::fs::remove_dir_all(&dir).ok();

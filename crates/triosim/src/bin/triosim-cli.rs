@@ -152,9 +152,8 @@ COMMANDS:
     submit                      submit a sweep spec to a running server
         --spec <sweep.json>     the spec to submit (required)
         --addr <host:port>      server address (default 127.0.0.1:7077)
-        --wait                  poll until the job finishes and print or
-                                save its canonical result
-        --poll-ms <n>           poll interval with --wait (default 500)
+        --wait                  long-poll until the job finishes and print
+                                or save its canonical result
         -o, --out <file>        with --wait, write the result here
                                 (byte-identical to `sweep --out`)
 ";
@@ -266,7 +265,7 @@ fn validate_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), S
             "wall-timeout-ms",
             "checkpoint-every",
         ],
-        "submit" => &["spec", "addr", "wait", "poll-ms", "out"],
+        "submit" => &["spec", "addr", "wait", "out"],
         // Unknown commands produce their own error.
         _ => return Ok(()),
     };
@@ -1044,10 +1043,12 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("poll with: triosim-cli submit --wait, or GET http://{addr}/jobs/{id}");
         return Ok(());
     }
-    let poll = std::time::Duration::from_millis(parse_num(opts, "poll-ms", 500)?.max(10));
+    // Each request blocks server-side until the job ends or the wait
+    // runs out, so there is no client-side sleep between them.
+    let path = format!("/jobs/{id}/result?wait_ms={}", triosim_server::MAX_WAIT_MS);
+    let poll_timeout = timeout + std::time::Duration::from_millis(triosim_server::MAX_WAIT_MS);
     loop {
-        let r =
-            triosim_server::request(&addr, "GET", &format!("/jobs/{id}/result"), None, timeout)?;
+        let r = triosim_server::request(&addr, "GET", &path, None, poll_timeout)?;
         match r.status {
             200 => {
                 let result = r.body;
@@ -1069,6 +1070,5 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
             }
             other => return Err(format!("polling {id} failed ({other}): {}", r.body_text())),
         }
-        std::thread::sleep(poll);
     }
 }

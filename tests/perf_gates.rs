@@ -13,13 +13,14 @@
 //! the end-to-end workloads come from `perfbench/run.py`.
 #![cfg(not(debug_assertions))]
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use triosim::{
-    run_sweep_with, Fidelity, Parallelism, Platform, SimBuilder, SweepOutcome, SweepRunConfig,
-    SweepSpec,
+    run_sweep_with, Fidelity, Parallelism, Platform, SimBuilder, SweepJobRunner, SweepOutcome,
+    SweepRunConfig, SweepSpec,
 };
 use triosim_modelzoo::ModelId;
+use triosim_server::{Server, ServerConfig};
 use triosim_trace::{GpuModel, Tracer};
 
 fn host_cores() -> usize {
@@ -169,4 +170,54 @@ fn fidelity_suite_is_within_wall_budget() {
             "fidelity suite took {wall_s:.1} s, over its {WALL_BUDGET_S:.0} s budget"
         );
     }
+}
+
+/// The daemon has no latency floor: on an idle in-process server, the
+/// median of 40 sequential `/healthz` round trips is under 2 ms. (An
+/// accept loop that sleeps between polls puts it at the sleep.)
+#[test]
+fn idle_server_round_trip_has_no_latency_floor() {
+    const TRIPS: usize = 40;
+    const MAX_MEDIAN_S: f64 = 0.002;
+    let dir = std::env::temp_dir().join(format!("triosim-perf-gate-serve-{}", std::process::id()));
+    let server = Server::start(
+        ServerConfig {
+            data_dir: dir.clone(),
+            ..ServerConfig::default()
+        },
+        Box::new(SweepJobRunner::default()),
+    )
+    .expect("server starts");
+    let addr = server.local_addr().to_string();
+    let timeout = Duration::from_secs(5);
+    let get = |path| triosim_server::request(&addr, "GET", path, None, timeout);
+    let ready_by = Instant::now() + timeout;
+    while get("/readyz").map(|r| r.status) != Ok(200) {
+        assert!(Instant::now() < ready_by, "server never became ready");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut trips: Vec<f64> = (0..TRIPS)
+        .map(|_| {
+            let sent = Instant::now();
+            let r = get("/healthz").expect("healthz answers");
+            assert_eq!(r.status, 200);
+            sent.elapsed().as_secs_f64()
+        })
+        .collect();
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+    trips.sort_by(f64::total_cmp);
+    let median_s = trips[TRIPS / 2];
+    println!(
+        "idle /healthz round trip: median {:.3} ms over {TRIPS} (gate {:.0} ms)",
+        median_s * 1e3,
+        MAX_MEDIAN_S * 1e3
+    );
+    assert!(
+        median_s < MAX_MEDIAN_S,
+        "median /healthz round trip {:.2} ms, over {:.0} ms",
+        median_s * 1e3,
+        MAX_MEDIAN_S * 1e3
+    );
 }
